@@ -98,6 +98,10 @@ fn spikes() -> ChaosScript {
 
 struct SimOutcome {
     blackouts: usize,
+    /// Per blackout, the start of the first throughput window with
+    /// deliveries minus the blackout's end. Quantised to the 100 ms
+    /// `throughput_window`: 0 means "delivering again within the first
+    /// window after the outage", not an instantaneous recovery.
     recoveries_ms: Vec<f64>,
     ledger_balanced: bool,
     delivered: u64,
