@@ -7,11 +7,17 @@
 //! * update intervals well above 1 s miss slow-fading shifts
 //!   (throughput down / delay up);
 //! * larger δ values are more aggressive (throughput up, delay up).
+//!
+//! The "design ablation" rows switch off one of the reproduction's own
+//! design choices (DESIGN.md §5) at the same operating point: the
+//! monotone instead of the natural spline, the delay profile updated
+//! during loss recovery, and the paper-literal all-time Dmin. The ε = 5 ms
+//! and 1 s update rows run the unablated default.
 
 use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::{OperatorModel, Scenario};
-use verus_core::{VerusCc, VerusConfig};
+use verus_core::{SplineKind, VerusCc, VerusConfig};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::SimDuration;
@@ -97,6 +103,34 @@ fn main() {
             2700 + (d1 * 10.0 + d2) as u64,
         );
         push("δ1/δ2", format!("{d1}/{d2} ms"), t, d);
+    }
+    // Design ablations, one choice at a time.
+    let ablations = [
+        (
+            "spline=monotone",
+            VerusConfig {
+                spline: SplineKind::Monotone,
+                ..VerusConfig::default()
+            },
+        ),
+        (
+            "freeze_profile_in_recovery=false",
+            VerusConfig {
+                freeze_profile_in_recovery: false,
+                ..VerusConfig::default()
+            },
+        ),
+        (
+            "dmin_window=forever",
+            VerusConfig {
+                dmin_window: SimDuration::MAX,
+                ..VerusConfig::default()
+            },
+        ),
+    ];
+    for (i, (label, config)) in ablations.into_iter().enumerate() {
+        let (t, d) = run_config(config, 2800 + i as u64);
+        push("design ablation", label.to_string(), t, d);
     }
 
     println!("§5.3 — Verus parameter sensitivity (campus pedestrian 3G trace)");

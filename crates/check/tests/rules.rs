@@ -556,11 +556,12 @@ fn threads_allowed_in_netsim_shard_runner_only() {
 
 #[test]
 fn loadtest_bench_bin_may_not_spawn_threads() {
-    // The BENCH_4 driver must stay a pure client of `ShardServer` —
-    // all thread-per-core fan-out lives behind the transport API, so
-    // the bench numbers measure the plane, not ad-hoc bin threading.
+    // Bench binaries that drive the transport (the chaos soak) must stay
+    // pure clients of its API — all thread fan-out lives behind the
+    // transport crate, so their numbers measure the plane, not ad-hoc
+    // bin threading.
     let d = scan(
-        "crates/bench/src/bin/bench_loadtest.rs",
+        "crates/bench/src/bin/bench_chaos.rs",
         "fn f() { std::thread::spawn(|| {}); }\n",
     );
     assert_eq!(rules(&d), ["no-thread-outside-transport"]);

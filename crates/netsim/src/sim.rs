@@ -16,11 +16,11 @@
 //! Two schedulers implement that order (see [`SchedulerKind`]): the
 //! default hierarchical timing wheel ([`crate::wheel`], O(1) per event)
 //! and the original binary heap (O(log n) per event), kept as the
-//! equivalence oracle behind [`Simulation::with_scheduler`] and the
-//! `heap-sched` feature. Wheel runs additionally batch each cell TTI's
-//! deliveries (and their ACKs) into single events; the batch boundaries
-//! are chosen so the dispatch order — and therefore every report and
-//! trace byte — is identical to the per-packet oracle.
+//! test-only equivalence oracle behind [`Simulation::with_scheduler`].
+//! Wheel runs additionally batch each cell TTI's deliveries (and their
+//! ACKs) into single events; the batch boundaries are chosen so the
+//! dispatch order — and therefore every report and trace byte — is
+//! identical to the per-packet oracle.
 //!
 //! Transport model (identical for every protocol; only the congestion
 //! controller differs):
@@ -48,7 +48,6 @@ use crate::wheel::TimingWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 use verus_cellular::trace::Opportunity;
 use verus_nettypes::{
@@ -122,24 +121,18 @@ impl PartialOrd for Event {
 
 /// Which event scheduler a [`Simulation`] runs on.
 ///
-/// Both produce the exact same dispatch order; the wheel is the fast
+/// All produce the exact same dispatch order; the wheel is the fast
 /// path, the heap is the original implementation retained as the
-/// behaviour oracle (and additionally processes deliveries one event per
-/// packet instead of batching per TTI).
+/// test-only behaviour oracle (and additionally processes deliveries
+/// one event per packet instead of batching per TTI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Hierarchical timing wheel (O(1) schedule/pop) with per-TTI
-    /// delivery batching. The default, unless the `heap-sched` feature
-    /// flips it.
+    /// delivery batching. The default.
     Wheel,
-    /// The original `BinaryHeap` scheduler with one event per packet.
+    /// The original `BinaryHeap` scheduler with one event per packet:
+    /// the test-only oracle the equivalence suites compare against.
     LegacyHeap,
-    /// The pre-optimization event core, kept as the cost baseline the
-    /// scale benchmark compares against: binary-heap scheduling,
-    /// per-packet delivery events, one RTO-check event per ACK (no
-    /// timer coalescing), and `BTreeMap` outstanding tables. Behaviour
-    /// matches the other schedulers; only the constants differ.
-    NaiveHeap,
     /// Deterministic multi-core sharding (see [`crate::shard`]): flows
     /// are partitioned round-robin across `workers` threads, each
     /// running its own timing wheel over its flows' events, while the
@@ -160,18 +153,6 @@ pub enum SchedulerKind {
         /// Worker thread count; `0` and `1` mean "run sequentially".
         workers: usize,
     },
-}
-
-impl SchedulerKind {
-    /// The build's default: wheel, unless compiled with `heap-sched`.
-    #[must_use]
-    pub fn default_for_build() -> Self {
-        if cfg!(feature = "heap-sched") {
-            SchedulerKind::LegacyHeap
-        } else {
-            SchedulerKind::Wheel
-        }
-    }
 }
 
 /// Tie-space classes (see the module doc). The tie is a 64-bit key:
@@ -205,9 +186,7 @@ impl Sched {
             SchedulerKind::Wheel | SchedulerKind::Sharded { .. } => {
                 Sched::Wheel(TimingWheel::new())
             }
-            SchedulerKind::LegacyHeap | SchedulerKind::NaiveHeap => {
-                Sched::Heap(BinaryHeap::new())
-            }
+            SchedulerKind::LegacyHeap => Sched::Heap(BinaryHeap::new()),
         }
     }
 
@@ -319,84 +298,6 @@ struct PacketMeta {
     gap_deadline: Option<SimTime>,
 }
 
-/// Per-flow outstanding-packet store. `Ring` is the slab/ring-buffer
-/// fast path; `Tree` is the original `BTreeMap`, kept so
-/// [`SchedulerKind::NaiveHeap`] can reproduce the pre-optimization cost
-/// model exactly. Both expose identical key-ordered semantics.
-enum Outstanding {
-    Ring(OutstandingTable<PacketMeta>),
-    Tree(BTreeMap<u64, PacketMeta>),
-}
-
-impl Outstanding {
-    fn get(&self, seq: u64) -> Option<&PacketMeta> {
-        match self {
-            Outstanding::Ring(t) => t.get(seq),
-            Outstanding::Tree(t) => t.get(&seq),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Outstanding::Ring(t) => t.len(),
-            Outstanding::Tree(t) => t.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn insert(&mut self, seq: u64, meta: PacketMeta) {
-        match self {
-            Outstanding::Ring(t) => {
-                t.insert(seq, meta);
-            }
-            Outstanding::Tree(t) => {
-                t.insert(seq, meta);
-            }
-        }
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<PacketMeta> {
-        match self {
-            Outstanding::Ring(t) => t.remove(seq),
-            Outstanding::Tree(t) => t.remove(&seq),
-        }
-    }
-
-    fn front(&self) -> Option<(u64, &PacketMeta)> {
-        match self {
-            Outstanding::Ring(t) => t.front(),
-            Outstanding::Tree(t) => t.iter().next().map(|(k, v)| (*k, v)),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Outstanding::Ring(t) => t.clear(),
-            Outstanding::Tree(t) => t.clear(),
-        }
-    }
-
-    /// Visits every live `(seq, meta)` with `seq < bound` in ascending
-    /// order (the loss-detection scan).
-    fn for_each_below_mut(&mut self, bound: u64, mut f: impl FnMut(u64, &mut PacketMeta)) {
-        match self {
-            Outstanding::Ring(t) => {
-                for (seq, m) in t.iter_below_mut(bound) {
-                    f(seq, m);
-                }
-            }
-            Outstanding::Tree(t) => {
-                for (seq, m) in t.range_mut(..bound) {
-                    f(*seq, m);
-                }
-            }
-        }
-    }
-}
-
 pub(crate) struct FlowState {
     cc: Box<dyn CongestionControl>,
     start: SimTime,
@@ -413,11 +314,11 @@ pub(crate) struct FlowState {
     completed_at: Option<SimTime>,
     started: bool,
     next_seq: u64,
-    outstanding: Outstanding,
+    outstanding: OutstandingTable<PacketMeta>,
     rtt: RttEstimator,
     rto_deadline: Option<SimTime>,
-    /// Earliest pending `RtoCheck` event for this flow (coalesced-timer
-    /// builds; `None` when no check is in flight or coalescing is off).
+    /// Earliest pending `RtoCheck` event for this flow (`None` when no
+    /// check is in flight).
     rto_check_at: Option<SimTime>,
     rto_retries: u32,
     // metrics
@@ -775,9 +676,6 @@ pub struct Simulation {
     sched_kind: SchedulerKind,
     /// Monotone counter for channel-class event ties (see [`CHAN_CLASS`]).
     chan_ctr: u64,
-    /// One pending RTO-check event per flow instead of one per ACK
-    /// (off only under [`SchedulerKind::NaiveHeap`]).
-    rto_coalesce: bool,
     /// Whether cell TTI deliveries are coalesced into batch events
     /// (wheel scheduler only; the heap oracle stays per-packet).
     batching: bool,
@@ -849,7 +747,7 @@ impl Simulation {
                 completed_at: None,
                 started: false,
                 next_seq: 0,
-                outstanding: Outstanding::Ring(OutstandingTable::new()),
+                outstanding: OutstandingTable::new(),
                 rtt: RttEstimator::default(),
                 rto_deadline: None,
                 rto_check_at: None,
@@ -886,18 +784,13 @@ impl Simulation {
             } => Service::Cell(CellService::from_trace(trace, base_rtt, loss, config.abc)),
         };
 
-        let scheduler = SchedulerKind::default_for_build();
         let mut sim = Self {
             now: SimTime::ZERO,
             end,
-            sched: Sched::new(scheduler),
-            sched_kind: scheduler,
+            sched: Sched::new(SchedulerKind::Wheel),
+            sched_kind: SchedulerKind::Wheel,
             chan_ctr: 0,
-            rto_coalesce: scheduler != SchedulerKind::NaiveHeap,
-            batching: matches!(
-                scheduler,
-                SchedulerKind::Wheel | SchedulerKind::Sharded { .. }
-            ),
+            batching: true,
             flows,
             queue: Queue::new(config.queue),
             service,
@@ -1030,31 +923,7 @@ impl Simulation {
             self.sched.push(time, tie, ev);
         }
         self.sched_kind = kind;
-        self.batching = matches!(kind, SchedulerKind::Wheel | SchedulerKind::Sharded { .. });
-        self.rto_coalesce = kind != SchedulerKind::NaiveHeap;
-        // The naive core keeps its original BTreeMap tables; everything
-        // else runs the ring table. Entries migrate either way (empty in
-        // practice: the switch happens before `run`).
-        for f in &mut self.flows {
-            let naive = kind == SchedulerKind::NaiveHeap;
-            let is_tree = matches!(f.outstanding, Outstanding::Tree(_));
-            if naive != is_tree {
-                let mut moved: Vec<(u64, PacketMeta)> = Vec::new();
-                match &f.outstanding {
-                    Outstanding::Ring(t) => moved.extend(t.iter().map(|(k, v)| (k, *v))),
-                    Outstanding::Tree(t) => moved.extend(t.iter().map(|(k, v)| (*k, *v))),
-                }
-                let mut next = if naive {
-                    Outstanding::Tree(BTreeMap::new())
-                } else {
-                    Outstanding::Ring(OutstandingTable::new())
-                };
-                for (k, v) in moved {
-                    next.insert(k, v);
-                }
-                f.outstanding = next;
-            }
-        }
+        self.batching = kind != SchedulerKind::LegacyHeap;
         self
     }
 
@@ -1337,7 +1206,7 @@ impl Simulation {
                 self.touch(i);
                 // Coalesced timers: only the tracked (earliest) check
                 // re-arms; stale duplicates fall through as no-ops.
-                let tracked = self.rto_coalesce && self.flows[i].rto_check_at == Some(self.now);
+                let tracked = self.flows[i].rto_check_at == Some(self.now);
                 if tracked {
                     self.flows[i].rto_check_at = None;
                 }
@@ -1792,21 +1661,23 @@ impl Simulation {
             let f = &mut self.flows[flow];
             let detection = f.loss_detection;
             let srtt = f.rtt.srtt_or(SimDuration::from_millis(200));
-            f.outstanding.for_each_below_mut(seq, |hole, m| match detection {
-                LossDetection::PacketThreshold { threshold } => {
-                    m.later_acks += 1;
-                    if m.later_acks >= threshold {
-                        condemned.push(hole);
+            for (hole, m) in f.outstanding.iter_below_mut(seq) {
+                match detection {
+                    LossDetection::PacketThreshold { threshold } => {
+                        m.later_acks += 1;
+                        if m.later_acks >= threshold {
+                            condemned.push(hole);
+                        }
+                    }
+                    LossDetection::GapTimer { factor } => {
+                        if m.gap_deadline.is_none() {
+                            let deadline = now + srtt.mul_f64(factor);
+                            m.gap_deadline = Some(deadline);
+                            to_arm.push((hole, deadline));
+                        }
                     }
                 }
-                LossDetection::GapTimer { factor } => {
-                    if m.gap_deadline.is_none() {
-                        let deadline = now + srtt.mul_f64(factor);
-                        m.gap_deadline = Some(deadline);
-                        to_arm.push((hole, deadline));
-                    }
-                }
-            });
+            }
         }
         for (hole, deadline) in to_arm.drain(..) {
             self.schedule_flow(flow, deadline, EventKind::GapTimer { flow, seq: hole });
@@ -1874,16 +1745,11 @@ impl Simulation {
     }
 
     /// Ensures an `RtoCheck` event will fire at (or before, re-arming
-    /// toward) `deadline`. Coalesced builds keep at most one *tracked*
-    /// pending check per flow: a check scheduled for an earlier time
-    /// covers every later deadline, because on firing it re-arms at the
-    /// then-current deadline. The naive core schedules one event per
-    /// call, exactly like the original implementation.
+    /// toward) `deadline`. At most one *tracked* pending check is kept
+    /// per flow: a check scheduled for an earlier time covers every
+    /// later deadline, because on firing it re-arms at the then-current
+    /// deadline.
     fn arm_rto_check(&mut self, flow: usize, deadline: SimTime) {
-        if !self.rto_coalesce {
-            self.schedule_flow(flow, deadline, EventKind::RtoCheck(flow));
-            return;
-        }
         match self.flows[flow].rto_check_at {
             Some(t) if t <= deadline => {}
             _ => {
@@ -1957,7 +1823,6 @@ impl Simulation {
                     sched: Sched::new(SchedulerKind::Wheel),
                     sched_kind: SchedulerKind::Wheel,
                     chan_ctr: 0,
-                    rto_coalesce: true,
                     batching: true,
                     flows: wf,
                     queue: Queue::new(crate::queue::QueueConfig::deep_droptail()),

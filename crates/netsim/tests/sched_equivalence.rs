@@ -1,9 +1,9 @@
 //! Scheduler equivalence: the sharded multi-core engine must reproduce
 //! the sequential wheel's results *byte for byte* — reports, logical
 //! event counts, raw pop counts, and exported trace JSONL — for every
-//! worker count, seed, and scenario here. The suite runs under both
-//! feature builds (default wheel and `heap-sched`) in CI; the explicit
-//! `with_scheduler` calls make it independent of the build default.
+//! worker count, seed, and scenario here. Every report's conservation
+//! ledger must balance too; CI reruns the suite in release with
+//! `strict-invariants`, which also checks the ledger after every event.
 
 use verus_baselines::{Cubic, NewReno, Sprout, Vegas};
 use verus_cellular::{OperatorModel, Scenario};
@@ -42,7 +42,7 @@ fn lossy_cell() -> BottleneckConfig {
 }
 
 /// Scenario 1: a clean cubic crowd behind the paper's RED queue,
-/// staggered starts (the bench_scale shape, scaled down).
+/// staggered starts (scenario 5's shape, scaled down).
 fn clean_crowd(seed: u64) -> SimConfig {
     let flows = (0..6)
         .map(|i| {
@@ -162,18 +162,54 @@ fn finite_and_shed(seed: u64) -> SimConfig {
     }
 }
 
+/// Scenario 5: a 100-flow CUBIC crowd behind the paper's RED queue,
+/// starts staggered 50 ms apart over the first 5 s, on the LTE burst
+/// structure scaled 50×: at W = 4 each worker still owns 25 flows.
+fn hundred_flow_crowd(seed: u64) -> SimConfig {
+    let flows = (0..100)
+        .map(|i| {
+            FlowConfig::new(Box::new(Cubic::new())).starting_at(SimTime::from_millis(i * 50))
+        })
+        .collect();
+    SimConfig {
+        bottleneck: BottleneckConfig::Cell {
+            trace: Scenario::CampusStationary
+                .generate_trace(OperatorModel::EtisalatLte, SimDuration::from_secs(10), 42)
+                .expect("trace")
+                .scale_rate(50.0),
+            base_rtt: SimDuration::from_millis(40),
+            loss: 0.0,
+        },
+        queue: QueueConfig::paper_red(),
+        flows,
+        duration: SimDuration::from_secs(5),
+        seed,
+        throughput_window: SimDuration::from_secs(1),
+        impairments: Default::default(),
+        abc: None,
+    }
+}
+
 /// Runs one config under one scheduler; returns the full-fidelity
-/// report rendering plus the instrumentation counters.
+/// report rendering plus the instrumentation counters. Every flow's
+/// conservation ledger must balance.
 fn run(config: SimConfig, kind: SchedulerKind) -> (String, u64, u64) {
     let sim = Simulation::new(config)
         .expect("valid config")
         .with_scheduler(kind);
     let (reports, events, pops) = sim.run_instrumented();
+    for r in &reports {
+        assert!(
+            r.ledger_balances(),
+            "{kind:?}: flow {} conservation ledger does not balance",
+            r.flow
+        );
+    }
     (format!("{reports:#?}"), events, pops)
 }
 
-fn assert_sharding_matches(make: fn(u64) -> SimConfig, name: &str) {
-    for seed in SEEDS {
+fn assert_sharding_matches(make: fn(u64) -> SimConfig, name: &str, seeds: &[u64]) {
+    for &seed in seeds {
         let (base_reports, base_events, base_pops) = run(make(seed), SchedulerKind::Wheel);
         for workers in WORKER_COUNTS {
             let (reports, events, pops) =
@@ -193,22 +229,27 @@ fn assert_sharding_matches(make: fn(u64) -> SimConfig, name: &str) {
 
 #[test]
 fn sharded_clean_crowd_is_byte_identical() {
-    assert_sharding_matches(clean_crowd, "clean_crowd");
+    assert_sharding_matches(clean_crowd, "clean_crowd", &SEEDS);
 }
 
 #[test]
 fn sharded_mixed_protocols_are_byte_identical() {
-    assert_sharding_matches(mixed_protocols, "mixed_protocols");
+    assert_sharding_matches(mixed_protocols, "mixed_protocols", &SEEDS);
 }
 
 #[test]
 fn sharded_impaired_run_is_byte_identical() {
-    assert_sharding_matches(impaired, "impaired");
+    assert_sharding_matches(impaired, "impaired", &SEEDS);
 }
 
 #[test]
 fn sharded_finite_and_shed_flows_are_byte_identical() {
-    assert_sharding_matches(finite_and_shed, "finite_and_shed");
+    assert_sharding_matches(finite_and_shed, "finite_and_shed", &SEEDS);
+}
+
+#[test]
+fn sharded_hundred_flow_crowd_is_byte_identical() {
+    assert_sharding_matches(hundred_flow_crowd, "hundred_flow_crowd", &[7]);
 }
 
 /// The trace path: two instrumented Verus flows share one recorder.

@@ -1,7 +1,7 @@
 //! JSONL / CSV export and the matching parser.
 //!
 //! The workspace's `serde_json` is an offline stub, so — following the
-//! `verus-bench` convention (`bench_baseline`'s hand-rolled record) —
+//! `verus-bench` convention (the bench binaries' hand-rolled records) —
 //! the exporter formats JSON by hand and the parser is a tiny
 //! recursive-descent reader for exactly the subset the exporter writes.
 //! Every line is one flat JSON object with a `type` field; key order is

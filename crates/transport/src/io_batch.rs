@@ -17,7 +17,8 @@
 //!   can be *measured* as batched-vs-fallback on the same machine.
 //!
 //! Both implementations count syscalls and datagrams ([`IoCounters`]);
-//! syscalls-per-packet is the headline metric `BENCH_4.json` gates on.
+//! syscalls-per-packet is what the tier-1 load test's ≥ 8× batching
+//! floor and the benchmark's `transport.syscalls_per_pkt` read.
 //! Sockets are switched to non-blocking: pacing sleeps belong to the
 //! caller's timer plane, not to read timeouts.
 //!

@@ -1,9 +1,7 @@
-//! Tier-1 scaled-down load test for the sharded transport plane.
-//!
-//! The full headline run (`bench_loadtest`, BENCH_4) drives 100k+ flows
-//! for tens of seconds; this suite shrinks it to ~1k flows over a local
-//! batched receiver so it finishes in seconds and runs on every commit.
-//! What it pins down is the part that must never regress:
+//! Tier-1 load test for the sharded transport plane: ~1k flows over a
+//! local batched receiver, small enough to finish in seconds and run on
+//! every commit (the benchmark's `loopback_shard` workload measures the
+//! plane's cost). What it pins down is the part that must never regress:
 //!
 //! - **ledger balance** — every offered sequence ends exactly once in
 //!   the `acked` or `shed` column (`residual() == 0`), on BOTH the
@@ -11,8 +9,10 @@
 //! - **no stuck sessions** — the supervisor-semantics lifecycle closes
 //!   every flow before the server's deadline watchdog has to abort it;
 //! - **deterministic digests** — two runs with the same seed produce
-//!   byte-identical `deterministic_digest()` strings, the property the
-//!   CI jq gate on BENCH_4's deterministic core relies on.
+//!   byte-identical `deterministic_digest()` strings, and so do the
+//!   batched and per-packet backends on the same crowd;
+//! - **batching pays** — the `sendmmsg`/`recvmmsg` backend spends at
+//!   least 8× fewer syscalls per packet than the per-packet fallback.
 
 use verus_core::VerusCc;
 use verus_nettypes::{FixedWindow, SimDuration};
@@ -20,29 +20,27 @@ use verus_transport::{
     FlowSpec, IoMode, LoadReport, Receiver, ShardServer, ShardServerConfig, WallClock,
 };
 
-/// Runs `flows` FixedWindow flows of `packets` sequences each against a
-/// batched loopback receiver and returns the ledger.
-fn run_crowd(
-    mode: IoMode,
-    flows: u32,
-    packets: u64,
-    shards: usize,
-    seed: u64,
-    shed_cap: Option<usize>,
-) -> LoadReport {
-    let clock = WallClock::new();
-    let rx = Receiver::spawn_batched("127.0.0.1:0", clock, mode).unwrap();
-    let cfg = ShardServerConfig {
+/// The crowd plane's configuration: header-only datagrams, 20 ms epochs,
+/// first epochs spread over 100 ms.
+fn config(mode: IoMode, shards: usize, seed: u64) -> ShardServerConfig {
+    ShardServerConfig {
         shards,
         io_mode: mode,
         packet_bytes: 0, // header-only keeps the tier-1 run light
         epoch: SimDuration::from_millis_f64(20.0),
         stagger: SimDuration::from_millis_f64(100.0),
-        shed_outstanding_cap: shed_cap,
         deadline: SimDuration::from_secs_f64(20.0),
         seed,
         ..ShardServerConfig::default()
-    };
+    }
+}
+
+/// Runs `flows` FixedWindow flows of `packets` sequences each through
+/// `cfg` against a loopback receiver on the same I/O mode and returns
+/// the ledger.
+fn run_crowd(cfg: ShardServerConfig, flows: u32, packets: u64) -> LoadReport {
+    let clock = WallClock::new();
+    let rx = Receiver::spawn_batched("127.0.0.1:0", clock, cfg.io_mode).unwrap();
     let specs: Vec<FlowSpec> = (0..flows)
         .map(|i| FlowSpec {
             flow: i,
@@ -59,7 +57,7 @@ fn run_crowd(
 #[test]
 fn thousand_flows_balance_the_ledger_on_both_backends() {
     for mode in [IoMode::Batched, IoMode::PerPacket] {
-        let a = run_crowd(mode, 1000, 4, 2, 7, None);
+        let a = run_crowd(config(mode, 2, 7), 1000, 4);
         assert_eq!(a.shards.len(), 2, "one snapshot per shard ({mode:?})");
         assert_eq!(a.offered(), 4000, "{mode:?}");
         assert_eq!(a.residual(), 0, "ledger must balance ({mode:?}): {a:?}");
@@ -69,11 +67,60 @@ fn thousand_flows_balance_the_ledger_on_both_backends() {
         assert_eq!(a.acked(), 4000, "{mode:?}");
 
         // Same seed, same crowd → byte-identical deterministic digest.
-        let b = run_crowd(mode, 1000, 4, 2, 7, None);
+        let b = run_crowd(config(mode, 2, 7), 1000, 4);
         assert_eq!(
             a.deterministic_digest(),
             b.deterministic_digest(),
             "digest must be byte-stable across same-seed runs ({mode:?})"
+        );
+    }
+}
+
+#[test]
+fn batched_and_per_packet_backends_agree_and_batching_cuts_syscalls() {
+    // 1,000 flows × 4 packets, 25 ms epochs over a 200 ms arrival
+    // stagger, run once per backend. One shard: how many datagrams a
+    // batch can carry follows each shard's arrival rate, so a shard
+    // count that grew with the host's cores would make the floor below
+    // a property of the host rather than of the plane.
+    let shape = |mode| ShardServerConfig {
+        epoch: SimDuration::from_millis(25),
+        stagger: SimDuration::from_millis(200),
+        ..config(mode, 1, 7)
+    };
+    let per_packet = run_crowd(shape(IoMode::PerPacket), 1000, 4);
+    let batched = run_crowd(shape(IoMode::Batched), 1000, 4);
+    for r in [&per_packet, &batched] {
+        assert_eq!(r.residual(), 0, "ledger must balance: {r:?}");
+        assert_eq!(r.stuck(), 0);
+        assert_eq!(r.closed(), 1000);
+        assert_eq!(r.acked(), 4000);
+    }
+    // The per-packet fallback is the batched path's behavioural oracle.
+    assert_eq!(
+        per_packet.deterministic_digest(),
+        batched.deterministic_digest(),
+        "backends disagreed on the deterministic ledger"
+    );
+    // `IoMode::Batched` resolves to sendmmsg/recvmmsg only here; elsewhere
+    // both runs use the per-packet backend.
+    if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+        let ratio = per_packet.io().syscalls_per_packet() / batched.io().syscalls_per_packet();
+        assert!(
+            ratio >= 8.0,
+            "syscall batching ratio {ratio:.2}x below the 8x floor \
+             (per-packet {:?}, batched {:?})",
+            per_packet.io(),
+            batched.io()
+        );
+    }
+    // Below 4 cores the epoch-timer lateness measures the OS scheduler,
+    // not the timer plane.
+    if std::thread::available_parallelism().map_or(1, usize::from) >= 4 {
+        let p99 = batched.jitter_p99_ms();
+        assert!(
+            p99 <= 250.0,
+            "epoch-timer p99 lateness {p99:.2} ms above the 250 ms budget"
         );
     }
 }
@@ -84,7 +131,11 @@ fn shed_cap_accounts_overload_exactly() {
     // shed path: the ledger must still balance exactly — each sequence
     // lands in `acked` (the probed ones) or `shed` (the rest), never
     // both, never neither.
-    let r = run_crowd(IoMode::Batched, 64, 16, 1, 11, Some(0));
+    let cfg = ShardServerConfig {
+        shed_outstanding_cap: Some(0),
+        ..config(IoMode::Batched, 1, 11)
+    };
+    let r = run_crowd(cfg, 64, 16);
     assert_eq!(r.offered(), 1024);
     assert_eq!(
         r.acked() + r.shed(),

@@ -31,112 +31,36 @@ rm -f "$check_json"
 cargo test --release -q -p verus-bench --test fault_injection \
   --features verus-netsim/strict-invariants,verus-core/strict-invariants,verus-transport/strict-invariants
 
-# Bench smoke: the tracked baseline must run and emit a well-formed
-# record. Written to a scratch path (the committed BENCH_1.json is a
-# reviewed artifact, updated deliberately, not on every CI run); jq
-# validates the v2 schema — every figure positive, median-of-K with the
-# rep/iteration counts recorded. The trace-overhead ceiling is looser
-# than the reviewed artifact's ~9% reading because a loaded single-CPU
-# CI box cannot measure a few percent reliably; a well-above-double-digit
-# reading still catches an accidentally quadratic hook.
-bench_out="$(mktemp /tmp/bench_baseline.XXXXXX.json)"
-VERUS_BENCH_OUT="$bench_out" cargo run --release -q -p verus-bench --bin bench_baseline
-jq -e '
-  .schema == "verus-bench-baseline-v2"
-  and (.reps >= 5)
-  and (.lookup_old_ns > 0) and (.lookup_old_iters > 0)
-  and (.lookup_new_ns > 0) and (.lookup_new_iters > 0) and (.lookup_speedup > 0)
-  and (.epochs_per_sec > 0) and (.epochs_iters > 0)
-  and (.sim_events > 0) and (.sim_rounds >= 5) and (.events_per_sec > 0)
-  and (.trace_off_events_per_sec > 0) and (.trace_on_events_per_sec > 0)
-  and (.trace_records > 0) and (.trace_overhead_pct < 20)
-' "$bench_out" > /dev/null || { echo "bench_baseline emitted a malformed record:"; cat "$bench_out"; exit 1; }
-rm -f "$bench_out"
+# Crowd invariants: the sharded engine's equivalence suite in an
+# optimised build with every conservation assert armed (strict-invariants
+# checks the ledger after every event). Besides byte-identity across
+# W in {1, 2, 4}, the suite checks every report's ledger, including a
+# 100-flow CUBIC crowd behind the RED queue.
+cargo test --release -q -p verus-netsim --test sched_equivalence \
+  --features verus-netsim/strict-invariants
 
-# Scale smoke: a 100-flow RED crowd on the timing-wheel core with every
-# conservation assert armed (strict-invariants checks the ledger after
-# every event; the binary re-checks each flow's report-level ledger).
-cargo run --release -q -p verus-bench --bin bench_scale \
-  --features verus-netsim/strict-invariants -- --smoke
-
-# Shard smoke: the sharded engine's byte-identity contract, live on one
-# seed — a short 100-flow crowd at W ∈ {1, 2, 4} must produce identical
-# report digests and event/pop totals (the binary asserts and exits
-# non-zero on divergence). The full N∈{100..100k} sweep behind the
-# committed BENCH_3.json takes tens of minutes and is a reviewed
-# artifact, updated deliberately — CI validates it structurally instead:
-# v3 schema, the exact sweep shape, byte-identity recorded at every N,
-# and the RTO re-arm coalescing fix actually reflected in the pop
-# counts (fewer scheduler pops *per logical event* at N=100 than the
-# pre-fix BENCH_2.json recorded — raw totals aren't comparable because
-# the canonical tie order changed trajectories, see the record's
-# comparison note). The W=4 wall-speedup assertion (≥ 2× vs W=1 at N ≥ 10k)
-# only applies when the committed record was measured on ≥ 4 cores —
-# sharded wall-clock gains need the cores to exist, and a single-core
-# record honestly says so in its `cores` field.
-cargo run --release -q -p verus-bench --bin bench_scale -- --shard-smoke
-jq -e '
-  .schema == "verus-bench-scale-v3"
-  and ([.sweep[].flows] == [100, 1000, 10000, 100000])
-  and ([.sweep[] | select(.byte_identical_across_w | not)] == [])
-  and ([.sweep[] | select(.events <= 0 or .sched_pops <= 0)] == [])
-  and ([.sweep[].per_worker[] | select(.wall_secs <= 0 or .events_per_sec <= 0)] == [])
-  and ([.sweep[].per_worker[].workers] == [1, 2, 4, 1, 2, 4, 1, 2, 4, 1, 2, 4])
-  and (.rto_coalescing.after_n100.pops_per_event < .rto_coalescing.before_bench2_n100.pops_per_event)
-' BENCH_3.json > /dev/null || { echo "committed BENCH_3.json malformed or below acceptance"; exit 1; }
-jq -e '
-  if .cores >= 4 then
-    [.sweep[] | select(.flows >= 10000)
-      | (.per_worker[] | select(.workers == 1) | .wall_secs) as $w1
-      | (.per_worker[] | select(.workers == 4) | .wall_secs) as $w4
-      | select($w1 < 2 * $w4)] == []
-  else true end
-' BENCH_3.json > /dev/null \
-  || { echo "BENCH_3.json: W=4 wall speedup below 2x vs W=1 at N>=10k on a >=4-core record"; \
-       jq '{cores, sweep: [.sweep[] | select(.flows >= 10000)]}' BENCH_3.json; exit 1; }
-
-# Loadtest smoke: the sharded transport plane (thread-per-core UDP
-# server, batched syscall I/O) on a 1k-flow crowd through the identical
-# two-leg pipeline as the committed BENCH_4.json. The binary itself
-# asserts the exact packet ledger, zero stuck sessions, cross-backend
-# digest equality, and (when the batched leg runs mmsg) the >= 8x
-# syscalls-per-packet ratio. Two smoke runs must agree byte-for-byte on
-# the deterministic core — `measured` holds the wall-clock/syscall
-# readings that legitimately vary and is excluded. jq then gates the
-# schema on both the smoke record and the committed artifact; the
-# epoch-timer p99 jitter budget applies only to records measured on
-# >= 4 cores (same honesty rule as BENCH_3's speedup gate — on fewer
-# cores the figure measures the scheduler, not the timer plane).
-load_out="$(mktemp /tmp/bench_loadtest.XXXXXX.json)"
-load_out2="$(mktemp /tmp/bench_loadtest.XXXXXX.json)"
-VERUS_BENCH_OUT="$load_out" cargo run --release -q -p verus-bench --bin bench_loadtest -- --smoke
-VERUS_BENCH_OUT="$load_out2" cargo run --release -q -p verus-bench --bin bench_loadtest -- --smoke > /dev/null
-diff <(jq -S 'del(.measured)' "$load_out") <(jq -S 'del(.measured)' "$load_out2") \
-  || { echo "loadtest smoke deterministic core is not byte-stable across same-seed runs"; exit 1; }
-load_jq='
-  .schema == "verus-bench-loadtest-v1"
-  and (.ledger.residual == 0) and (.ledger.stuck == 0)
-  and (.ledger.acked == .offered) and (.ledger.closed == .flows)
-  and .gates.ledger_exact and .gates.digests_match_across_backends
-  and (.gates.syscall_ratio_enforced == (.io_backend == "mmsg"))
-  and (if .gates.syscall_ratio_enforced
-       then .measured.syscall_ratio >= .syscall_ratio_floor else true end)
-  and (.gates.jitter_enforced == (.cores >= 4))
-  and (if .gates.jitter_enforced
-       then .measured.batched.jitter_p99_ms <= .jitter_budget_ms else true end)
-  and (.measured.baseline.syscalls > 0) and (.measured.batched.syscalls > 0)
-'
-jq -e "$load_jq and .smoke" "$load_out" > /dev/null \
-  || { echo "loadtest smoke emitted a malformed record or missed a gate:"; cat "$load_out"; exit 1; }
-jq -e "$load_jq and (.smoke | not) and (.flows >= 100000)" BENCH_4.json > /dev/null \
-  || { echo "committed BENCH_4.json malformed or below acceptance"; exit 1; }
-rm -f "$load_out" "$load_out2"
-
-# Scheduler equivalence under the alternate feature build: tier-1 runs
-# the suite on the default wheel build; this repeats it with the
-# BinaryHeap oracle as the build default so the sharded engine's
-# byte-identity holds under both feature builds.
-cargo test --release -q -p verus-netsim --test sched_equivalence --features heap-sched
+# Benchmark smoke: every perfbench workload, briefly, in traced mode,
+# which arms every benchmark gate (per-flow ledgers, repeated-pass
+# digests, the Sharded{2} crowd digest, traced == untraced cell jobs, the
+# transport ledger); a failed gate exits non-zero. The last line is the
+# result record. On cell_verus the trace recorder's cost per job
+# (trace.record_ns x trace.records, the latter counted per job) must stay
+# under 20 % of the median job time.
+perf_out="$(mktemp /tmp/perfbench.XXXXXX.txt)"
+for workload in cell_verus crowd_cubic loopback_shard; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1 > "$perf_out" \
+    || { echo "perfbench $workload failed:"; cat "$perf_out"; exit 1; }
+  tail -n 1 "$perf_out" | jq -e '.correct == true and .failed == 0' > /dev/null \
+    || { echo "perfbench $workload reported an incorrect run:"; tail -n 1 "$perf_out"; exit 1; }
+  if [ "$workload" = cell_verus ]; then
+    tail -n 1 "$perf_out" | jq -e '.metrics as $m
+      | $m["trace.record_ns"].value * $m["trace.records"].value
+        < 0.2 * $m["bench.job_s_p50"].value * 1e9' > /dev/null \
+      || { echo "cell_verus: trace recording costs 20 % or more of a job:"; tail -n 1 "$perf_out"; exit 1; }
+  fi
+done
+rm -f "$perf_out"
 
 # Chaos smoke: the seeded chaos soak on both substrates with the
 # recovery SLOs armed (the binary itself asserts them and exits

@@ -4,12 +4,11 @@
 //! seed below, both schedulers must produce byte-identical `FlowReport`s
 //! and byte-identical `verus-trace` JSONL.
 //!
-//! This is the oracle for the ISSUE-5 tentpole: the wheel replaces the
-//! heap only because dispatch order — and therefore every RNG draw,
-//! every controller callback, and every metric sample — provably cannot
-//! change. `cargo test --features heap-sched` additionally flips the
-//! *default* scheduler to the heap, so the whole suite doubles as an
-//! oracle run.
+//! This is the wheel's oracle: the wheel replaces the heap only because
+//! dispatch order — and therefore every RNG draw, every controller
+//! callback, and every metric sample — provably cannot change.
+//! `LegacyHeap` is the test-only oracle, selected at runtime with
+//! `Simulation::with_scheduler`.
 
 use verus_bench::cc_by_name;
 use verus_cellular::{OperatorModel, Scenario, Trace};
@@ -163,16 +162,14 @@ fn run_jsonl(mut config: SimConfig, kind: SchedulerKind) -> String {
 fn assert_equivalent(name: &str, mk: fn(u64) -> SimConfig) {
     for seed in SEEDS {
         let wheel = run_reports(mk(seed), SchedulerKind::Wheel);
-        for kind in [SchedulerKind::LegacyHeap, SchedulerKind::NaiveHeap] {
-            let heap = run_reports(mk(seed), kind);
-            assert!(
-                wheel == heap,
-                "{name} seed {seed}: FlowReports diverged between Wheel and {kind:?}\n\
-                 --- wheel ---\n{}\n--- {kind:?} ---\n{}",
-                &wheel[..wheel.len().min(4000)],
-                &heap[..heap.len().min(4000)],
-            );
-        }
+        let heap = run_reports(mk(seed), SchedulerKind::LegacyHeap);
+        assert!(
+            wheel == heap,
+            "{name} seed {seed}: FlowReports diverged between Wheel and LegacyHeap\n\
+             --- wheel ---\n{}\n--- heap ---\n{}",
+            &wheel[..wheel.len().min(4000)],
+            &heap[..heap.len().min(4000)],
+        );
     }
 }
 
