@@ -130,9 +130,14 @@ impl LinkBudget {
     /// below ~-6 dB yields zero (out of coverage for data).
     #[must_use]
     pub fn bytes_per_tti(&self, snr_db: f64) -> u32 {
-        let eff = |db: f64| (1.0 + 10f64.powf(db / 10.0)).log2();
-        let peak_eff = eff(self.snr_at_peak_db);
-        let ratio = (eff(snr_db.min(self.snr_at_peak_db)) / peak_eff).clamp(0.0, 1.0);
+        self.bytes_per_tti_at(snr_db, shannon_efficiency(self.snr_at_peak_db))
+    }
+
+    /// [`Self::bytes_per_tti`] with the efficiency at `snr_at_peak_db`
+    /// precomputed.
+    fn bytes_per_tti_at(&self, snr_db: f64, peak_eff: f64) -> u32 {
+        let eff = shannon_efficiency(snr_db.min(self.snr_at_peak_db));
+        let ratio = (eff / peak_eff).clamp(0.0, 1.0);
         // CQI quantization (floor: the scheduler picks the highest MCS
         // that still decodes).
         let steps = self.cqi_steps as f64;
@@ -142,11 +147,18 @@ impl LinkBudget {
     }
 }
 
+/// Shannon spectral efficiency (bit/s/Hz) at an SNR in dB.
+fn shannon_efficiency(snr_db: f64) -> f64 {
+    (1.0 + 10f64.powf(snr_db / 10.0)).log2()
+}
+
 /// The combined SNR → rate process, advanced one TTI at a time.
 #[derive(Debug, Clone)]
 pub struct RateProcess {
     config: FadingConfig,
     budget: LinkBudget,
+    /// `budget`'s peak efficiency, constant over the process's life.
+    peak_eff: f64,
     fast_db: f64,
     shadow_db: f64,
     drift_db: f64,
@@ -166,6 +178,7 @@ impl RateProcess {
         Self {
             config,
             budget,
+            peak_eff: shannon_efficiency(budget.snr_at_peak_db),
             fast_db: 0.0,
             shadow_db: 0.0,
             drift_db: 0.0,
@@ -216,7 +229,7 @@ impl RateProcess {
             }
         }
 
-        self.budget.bytes_per_tti(self.snr_db())
+        self.budget.bytes_per_tti_at(self.snr_db(), self.peak_eff)
     }
 }
 

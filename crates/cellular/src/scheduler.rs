@@ -120,6 +120,8 @@ struct UserState {
     pf_avg: f64,
     /// Queued packets: (arrival time, remaining bytes).
     queue: VecDeque<(SimTime, u32)>,
+    /// Sum of the remaining bytes in `queue`.
+    queued_bytes: u64,
     /// Fractional-byte accumulator for CBR arrivals.
     arrival_accum: f64,
     result: UserResult,
@@ -155,6 +157,7 @@ pub fn run_cell<R: Rng + ?Sized>(
             demand: u.demand,
             pf_avg: 1.0,
             queue: VecDeque::new(),
+            queued_bytes: 0,
             arrival_accum: 0.0,
             result: UserResult {
                 opportunities: Vec::new(),
@@ -165,6 +168,7 @@ pub fn run_cell<R: Rng + ?Sized>(
         })
         .collect();
 
+    let mut rates: Vec<u32> = Vec::with_capacity(users.len());
     for tti_idx in 0..n_ttis {
         let now = SimTime::from_nanos(tti_idx * tti.as_nanos());
 
@@ -187,19 +191,19 @@ pub fn run_cell<R: Rng + ?Sized>(
                 u.arrival_accum += rate * tti_s / 8.0;
                 while u.arrival_accum >= f64::from(config.packet_bytes) {
                     u.arrival_accum -= f64::from(config.packet_bytes);
-                    let backlog: u64 =
-                        u.queue.iter().map(|&(_, b)| u64::from(b)).sum();
-                    if backlog + u64::from(config.packet_bytes) > config.user_queue_bytes {
+                    if u.queued_bytes + u64::from(config.packet_bytes) > config.user_queue_bytes {
                         u.result.dropped += 1;
                     } else {
                         u.queue.push_back((now, config.packet_bytes));
+                        u.queued_bytes += u64::from(config.packet_bytes);
                     }
                 }
             }
         }
 
         // 2. Each user's radio advances every TTI regardless of service.
-        let rates: Vec<u32> = users.iter_mut().map(|u| u.process.next_tti(rng)).collect();
+        rates.clear();
+        rates.extend(users.iter_mut().map(|u| u.process.next_tti(rng)));
 
         // 3. PF selection among backlogged users with a usable channel.
         let winner = users
@@ -237,6 +241,7 @@ pub fn run_cell<R: Rng + ?Sized>(
                             }
                         }
                         served = capacity - budget;
+                        u.queued_bytes -= u64::from(served);
                     }
                 }
                 if served > 0 {

@@ -20,6 +20,7 @@
 
 use crate::config::SplineKind;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use verus_nettypes::{SimDuration, SimTime};
 use verus_spline::{Curve, MonotoneCubic, NaturalCubic};
@@ -41,9 +42,9 @@ impl ProfileCurve {
     }
 }
 
-/// Number of samples in the inverse-lookup table. At the profile scales
-/// Verus runs (windows up to a few thousand packets) this keeps cells
-/// well under one packet wide, so the bisection that refines the crossing
+/// Number of grid points in the inverse-lookup table. At the profile
+/// scales Verus runs (windows up to a few thousand packets) this keeps
+/// cells well under one packet wide, so the refinement of the crossing
 /// starts from a tight bracket.
 const INV_LUT_SIZE: usize = 2048;
 
@@ -57,36 +58,38 @@ const INV_TOL: f64 = 1e-9;
 /// bisection bounds the worst case well inside this cap.
 const INV_MAX_REFINE: usize = 64;
 
-/// Dense sampling of the fitted curve over the full probe-able window
-/// range, rebuilt once per [`DelayProfiler::refit`]. Inverse lookups
-/// bracket the threshold crossing here (binary search when the sampled
-/// curve is monotone, one vectorizable sweep of cached `f64`s otherwise)
-/// instead of evaluating the spline hundreds of times per epoch.
-#[derive(Debug, Clone)]
+/// Sampling of the fitted curve on a fixed grid over the full probe-able
+/// window range. [`DelayProfiler::refit`] only records the grid; samples
+/// are evaluated on demand, as a prefix that grows only when a lookup's
+/// crossing lies beyond it. Lookups read their crossings off low on the
+/// grid, so most of it is never evaluated.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct InvLut {
     lo: f64,
     hi: f64,
-    ys: Vec<f64>,
-    /// Whether the sampled values are non-decreasing, enabling
-    /// `partition_point` bracketing.
-    monotone: bool,
+    step: f64,
+    /// The filled prefix: `(curve value, running maximum)` per grid point.
+    /// Interior mutability lets `&self` lookups extend it, as the splines
+    /// keep their segment hint in a `Cell`.
+    samples: RefCell<Vec<(f64, f64)>>,
 }
 
 impl InvLut {
-    fn build(curve: &ProfileCurve, max_window_seen: f64) -> Self {
+    fn new(max_window_seen: f64) -> Self {
         let lo = 1.0;
         let hi = (max_window_seen * 1.5 + 10.0).max(lo + 1.0);
         let step = (hi - lo) / (INV_LUT_SIZE - 1) as f64;
-        let ys: Vec<f64> = (0..INV_LUT_SIZE)
-            .map(|i| curve.eval(lo + step * i as f64))
-            .collect();
-        let monotone = ys.windows(2).all(|w| w[1] >= w[0]);
-        Self { lo, hi, ys, monotone }
+        Self {
+            lo,
+            hi,
+            step,
+            samples: RefCell::new(Vec::new()),
+        }
     }
 
     /// Grid abscissa of sample `i`.
     fn x(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / (self.ys.len() - 1) as f64
+        self.lo + (self.hi - self.lo) * i as f64 / (INV_LUT_SIZE - 1) as f64
     }
 
     /// Largest grid point at or below `w` (clamped to the grid).
@@ -99,39 +102,50 @@ impl InvLut {
         if w < self.lo {
             return 0;
         }
-        let step = (self.hi - self.lo) / (self.ys.len() - 1) as f64;
-        let i = ((w - self.lo) / step) as usize + 1;
-        i.min(self.ys.len())
+        let i = ((w - self.lo) / self.step) as usize + 1;
+        i.min(INV_LUT_SIZE)
+    }
+
+    /// Curve value at grid point `i`, filling the prefix up to it.
+    fn sample(&self, samples: &mut Vec<(f64, f64)>, curve: &ProfileCurve, i: usize) -> f64 {
+        while samples.len() <= i {
+            let y = curve.eval(self.lo + self.step * samples.len() as f64);
+            let max = samples.last().map_or(y, |&(_, m)| m.max(y));
+            samples.push((y, max));
+        }
+        samples[i].0
     }
 
     /// Finds the first grid point in `(from_w, to_w]` whose sampled delay
     /// reaches `dest`, returning the enclosing cell `(x[i-1], x[i])` along
-    /// with the sampled delays at both ends (exact curve values — the
-    /// table is built from the fitted curve — so the refinement can start
-    /// its secant without re-evaluating the spline).
-    fn bracket(&self, dest: f64, from_w: f64, to_w: f64) -> Option<(f64, f64, f64, f64)> {
+    /// with the sampled delays at both ends (exact curve values, so the
+    /// refinement can start its secant without re-evaluating the spline).
+    ///
+    /// A binary search over the running maximum finds the first filled
+    /// sample that reaches `dest`, or learns that none does. The scan
+    /// starts there or at `from_w`, whichever is later, and fills the
+    /// prefix only as it passes its end. Earlier lookups change how much
+    /// is filled, never the index found.
+    fn bracket(
+        &self,
+        curve: &ProfileCurve,
+        dest: f64,
+        from_w: f64,
+        to_w: f64,
+    ) -> Option<(f64, f64, f64, f64)> {
         let start = self.first_index_above(from_w);
-        let end = self.first_index_above(to_w).min(self.ys.len());
-        if start >= end {
-            return None;
-        }
-        let idx = if self.monotone {
-            // Everything at/after the partition point is >= dest, so the
-            // first candidate in range is max(partition, start).
-            let i = self.ys.partition_point(|&y| y < dest).max(start);
-            if i >= end {
-                return None;
-            }
-            i
-        } else {
-            start + self.ys[start..end].iter().position(|&y| y >= dest)?
-        };
+        let end = self.first_index_above(to_w);
+        let samples = &mut *self.samples.borrow_mut();
+        // Negated so that a NaN never counts as reaching `dest`.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let first = samples.partition_point(|&(_, max)| !(max >= dest));
+        let idx = (start.max(first)..end).find(|&i| self.sample(samples, curve, i) >= dest)?;
         let (a, ya) = if idx == 0 {
-            (self.lo, self.ys[0])
+            (self.lo, samples[0].0)
         } else {
-            (self.x(idx - 1), self.ys[idx - 1])
+            (self.x(idx - 1), samples[idx - 1].0)
         };
-        Some((a, self.x(idx), ya, self.ys[idx]))
+        Some((a, self.x(idx), ya, samples[idx].0))
     }
 }
 
@@ -156,11 +170,8 @@ pub struct DelayProfiler {
     /// Smoothed delay (ms) per integer window (packets).
     points: BTreeMap<u32, Point>,
     curve: Option<ProfileCurve>,
-    /// Inverse-lookup table over the fitted curve, rebuilt alongside it.
-    /// Skipped by serde: a deserialized profiler regenerates it at its
-    /// next refit; until then lookups fall back to the direct curve scan.
-    #[serde(skip)]
-    inv_lut: Option<InvLut>,
+    /// Inverse-lookup table over the fitted curve, re-gridded alongside it.
+    inv_lut: InvLut,
     /// Largest window among live points (sets the upward-probing
     /// headroom; recomputed when points age out).
     max_window_seen: f64,
@@ -183,7 +194,7 @@ impl DelayProfiler {
             max_age,
             points: BTreeMap::new(),
             curve: None,
-            inv_lut: None,
+            inv_lut: InvLut::new(0.0),
             max_window_seen: 0.0,
         }
     }
@@ -257,7 +268,7 @@ impl DelayProfiler {
                 Err(_) => return false,
             },
         };
-        self.inv_lut = Some(InvLut::build(&curve, self.max_window_seen));
+        self.inv_lut = InvLut::new(self.max_window_seen);
         self.curve = Some(curve);
         true
     }
@@ -309,31 +320,24 @@ impl DelayProfiler {
         if y_lo >= dest_ms {
             return Some(lo);
         }
-        match &self.inv_lut {
-            Some(lut) => {
-                // Bracket the first up-crossing from the table, then refine
-                // inside the cell. The table may stop short of `hi` (samples
-                // added since the last refit extend the headroom; beyond the
-                // knots the curve is linear), so the tail past the last
-                // in-range grid point is handled by the endpoint check.
-                if let Some((a, b, ya, yb)) = lut.bracket(dest_ms, lo, hi) {
-                    // A cell straddling `lo` is re-anchored at `lo`, whose
-                    // curve value is already in hand.
-                    let (a, ya) = if a < lo { (lo, y_lo) } else { (a, ya) };
-                    return Some(Self::refine(curve, dest_ms, a, b, ya, yb));
-                }
-                let tail_start = lut.floor_x(hi).max(lo);
-                let y_hi = curve.eval(hi);
-                if y_hi >= dest_ms {
-                    let y_tail = curve.eval(tail_start);
-                    return Some(Self::refine(curve, dest_ms, tail_start, hi, y_tail, y_hi));
-                }
-                Some(hi)
-            }
-            // No table (freshly deserialized): direct coarse scan with the
-            // same threshold semantics.
-            None => Some(Self::scan_lookup(curve, dest_ms, lo, hi)),
+        // Bracket the first up-crossing from the table, then refine inside
+        // the cell. The table may stop short of `hi` (samples added since
+        // the last refit extend the headroom; beyond the knots the curve
+        // is linear), so the tail past the last in-range grid point is
+        // handled by the endpoint check.
+        if let Some((a, b, ya, yb)) = self.inv_lut.bracket(curve, dest_ms, lo, hi) {
+            // A cell straddling `lo` is re-anchored at `lo`, whose curve
+            // value is already in hand.
+            let (a, ya) = if a < lo { (lo, y_lo) } else { (a, ya) };
+            return Some(Self::refine(curve, dest_ms, a, b, ya, yb));
         }
+        let tail_start = self.inv_lut.floor_x(hi).max(lo);
+        let y_hi = curve.eval(hi);
+        if y_hi >= dest_ms {
+            let y_tail = curve.eval(tail_start);
+            return Some(Self::refine(curve, dest_ms, tail_start, hi, y_tail, y_hi));
+        }
+        Some(hi)
     }
 
     /// Collapses the bracket `[a, b]` — `curve(a) < dest_ms <= curve(b)`,
@@ -392,25 +396,6 @@ impl DelayProfiler {
             }
         }
         0.5 * (a + b)
-    }
-
-    /// The pre-LUT inverse lookup: walk a 512-point grid over `[lo, hi]`
-    /// and refine the first crossing cell. Kept as the fallback for
-    /// profilers deserialized without a table.
-    fn scan_lookup(curve: &ProfileCurve, dest_ms: f64, lo: f64, hi: f64) -> f64 {
-        const STEPS: usize = 512;
-        let mut prev_w = lo;
-        let mut prev_y = curve.eval(lo);
-        for i in 1..=STEPS {
-            let w = lo + (hi - lo) * i as f64 / STEPS as f64;
-            let y = curve.eval(w);
-            if y >= dest_ms {
-                return Self::refine(curve, dest_ms, prev_w, w, prev_y, y);
-            }
-            prev_w = w;
-            prev_y = y;
-        }
-        hi
     }
 
     /// Samples the fitted curve at `n` evenly spaced windows across
@@ -517,19 +502,86 @@ mod tests {
         assert_eq!(p.lookup_window(1e9, 42.0, 42.0), Some(42.0));
     }
 
+    /// A copy of `p` whose lookup table is filled to all its grid points.
+    fn fully_filled(p: &DelayProfiler) -> DelayProfiler {
+        let full = p.clone();
+        let curve = full.curve.as_ref().unwrap();
+        let lut = &full.inv_lut;
+        lut.sample(&mut lut.samples.borrow_mut(), curve, INV_LUT_SIZE - 1);
+        full
+    }
+
+    /// Asserts that a lazily filled table answers every lookup in
+    /// `queries` (in order, so the fill state evolves between them)
+    /// bit-for-bit like the fully filled one, and that its crossing is
+    /// the first in-range sample a linear scan of the full table finds.
+    fn assert_lazy_matches_full(p: &DelayProfiler, queries: &[(f64, f64, f64)]) {
+        let full = fully_filled(p);
+        let lazy = p.clone();
+        let (curve, lut) = (lazy.curve.as_ref().unwrap(), &lazy.inv_lut);
+        for &(dest, min_w, max_w) in queries {
+            let want = full.lookup_window(dest, min_w, max_w).unwrap();
+            let got = lazy.lookup_window(dest, min_w, max_w).unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "dest={dest} range=[{min_w}, {max_w}]: lazy {got} vs full {want}"
+            );
+            let (start, end) = (lut.first_index_above(min_w), lut.first_index_above(max_w));
+            let samples = full.inv_lut.samples.borrow();
+            let scan = (start..end)
+                .find(|&i| samples[i].0 >= dest)
+                .map(|i| lut.x(i).to_bits());
+            let crossing = lut
+                .bracket(curve, dest, min_w, max_w)
+                .map(|(_, b, _, _)| b.to_bits());
+            assert_eq!(crossing, scan, "dest={dest} range=[{min_w}, {max_w}]");
+        }
+        assert!(lut.samples.borrow().len() < INV_LUT_SIZE);
+    }
+
     #[test]
-    fn lut_and_fallback_scan_agree() {
-        // A profiler deserialized from a snapshot loses its LUT (the field
-        // is serde-skipped) and takes the direct-scan path; both paths must
-        // land on the same window.
-        let mut p = profiler();
-        feed_linear(&mut p);
-        let mut stripped = p.clone();
-        stripped.inv_lut = None;
-        for dest in [1.0, 30.0, 60.0, 95.0, 121.9, 140.0, 1e6] {
-            let fast = p.lookup_window(dest, 1.0, 1000.0).unwrap();
-            let slow = stripped.lookup_window(dest, 1.0, 1000.0).unwrap();
-            assert!((fast - slow).abs() < 1e-6, "dest={dest}: {fast} vs {slow}");
+    fn lazy_table_answers_match_full_table_bit_for_bit() {
+        // A dip after an early bump makes both curves non-monotone.
+        let points = [
+            (1.0, 20.0),
+            (5.0, 80.0),
+            (10.0, 30.0),
+            (20.0, 40.0),
+            (40.0, 100.0),
+        ];
+        let rising: Vec<f64> = (0..40).map(|i| 21.0 + 2.0 * f64::from(i)).collect();
+        let falling: Vec<f64> = rising.iter().rev().copied().collect();
+        let interleaved: Vec<f64> = rising
+            .iter()
+            .zip(&falling)
+            .flat_map(|(&r, &f)| [r, f])
+            .collect();
+        for kind in [SplineKind::Natural, SplineKind::Monotone] {
+            let mut p = DelayProfiler::new(0.875, kind);
+            for &(w, d) in &points {
+                p.add_sample(SimTime::ZERO, w, d);
+            }
+            assert!(p.refit(SimTime::ZERO));
+            for dests in [&rising, &falling, &interleaved] {
+                let queries: Vec<_> = dests.iter().map(|&d| (d, 1.0, 1000.0)).collect();
+                assert_lazy_matches_full(&p, &queries);
+            }
+            // Past the bump: a sample below the minimum window already
+            // reaches 60 ms, so the answer must be scanned for above it.
+            let early = p.inv_lut.first_index_above(12.0);
+            let full = fully_filled(&p);
+            let samples = full.inv_lut.samples.borrow();
+            let bump = samples.iter().position(|&(y, _)| y >= 60.0);
+            assert!(bump.is_some_and(|i| i < early));
+            let scans = [
+                (60.0, 12.0, 1000.0),
+                (35.0, 12.0, 1000.0),
+                (60.0, 1.0, 1000.0),
+            ];
+            assert_lazy_matches_full(&p, &scans);
+            let reversed: Vec<_> = scans.iter().rev().copied().collect();
+            assert_lazy_matches_full(&p, &reversed);
         }
     }
 

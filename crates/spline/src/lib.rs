@@ -15,9 +15,11 @@
 //!   which behaviour ALGLIB gave them, so the choice is exposed as a
 //!   config knob on the profiler and benchmarked as an ablation
 //!   (`ablation_spline`);
-//! * [`Curve::solve_x`] — inverse lookup: given a target delay `Dest`,
-//!   find the window `W` with `f(W) = Dest`. This is the operation Verus
-//!   performs every ε epoch (paper Eq. 4 → Figure 5's dashed arrows).
+//! * [`Curve::solve_x`] — a general inverse lookup: given a target delay
+//!   `Dest`, find a window `W` with `f(W) = Dest`. Verus itself inverts
+//!   its profile every ε epoch (paper Eq. 4 → Figure 5's dashed arrows)
+//!   with `DelayProfiler::lookup_window` in `verus-core`, a table-driven
+//!   threshold search over the same [`Curve::eval`].
 //!
 //! Both splines evaluate with linear extrapolation beyond the knot range:
 //! the window estimator regularly asks for delays slightly above anything
@@ -162,24 +164,6 @@ pub trait Curve {
         } else {
             hi
         }
-    }
-
-    /// Samples the curve at `n` evenly spaced points across its knot
-    /// domain, returning `(x, f(x))` pairs — the raw material for
-    /// lookup tables that cache the curve between refits (the delay
-    /// profiler rebuilds its inversion LUT from exactly this).
-    ///
-    /// # Panics
-    /// Panics if `n < 2` — a LUT needs both endpoints.
-    fn sample_lut(&self, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "sample_lut needs at least 2 samples, got {n}");
-        let (lo, hi) = self.domain();
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
     }
 }
 

@@ -222,13 +222,4 @@ mod tests {
             assert_eq!(s.eval(x).to_bits(), cold.eval(x).to_bits(), "at {x}");
         }
     }
-
-    #[test]
-    fn sample_lut_endpoints_are_knot_domain() {
-        let s = MonotoneCubic::fit(&[(2.0, 1.0), (4.0, 3.0), (8.0, 9.0)]).unwrap();
-        let lut = s.sample_lut(5);
-        assert_eq!(lut[0], (2.0, 1.0));
-        assert_eq!(lut[4].0, 8.0);
-        assert_eq!(lut[4].1, 9.0);
-    }
 }

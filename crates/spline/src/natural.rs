@@ -264,18 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_lut_covers_domain_and_matches_eval() {
-        let s = NaturalCubic::fit(&knots_quadratic()).unwrap();
-        let lut = s.sample_lut(21);
-        assert_eq!(lut.len(), 21);
-        assert_eq!(lut[0].0, 0.0);
-        assert_eq!(lut[20].0, 10.0);
-        for &(x, y) in &lut {
-            assert_eq!(y.to_bits(), s.eval(x).to_bits());
-        }
-    }
-
-    #[test]
     fn natural_boundary_second_derivative_is_zero() {
         let s = NaturalCubic::fit(&knots_quadratic()).unwrap();
         assert_eq!(s.m[0], 0.0);

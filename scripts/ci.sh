@@ -121,6 +121,12 @@ jq -e "$tourn_jq and .smoke and (.scenarios | length == 3)" "$tourn_out" > /dev/
 jq -e "$tourn_jq and (.smoke | not) and (.scenarios | length == 10)
        and ([.scenarios[].kind] | unique | sort == [\"paper\", \"stress\"])" TOURNAMENT_0.json > /dev/null \
   || { echo "committed TOURNAMENT_0.json malformed or below acceptance"; exit 1; }
+# Determinism gate: the full grid, regenerated from source, must match
+# the committed TOURNAMENT_0.json byte for byte, so any drift in a
+# controller's output (Verus's profile inversion included) fails here.
+VERUS_BENCH_OUT="$tourn_out" cargo run --release -q -p verus-bench --bin bench_tournament > /dev/null
+cmp -s "$tourn_out" TOURNAMENT_0.json \
+  || { echo "full tournament no longer reproduces TOURNAMENT_0.json"; diff "$tourn_out" TOURNAMENT_0.json | head; exit 1; }
 rm -f "$tourn_out" "$tourn_out2"
 
 # Trace smoke: capture a short traced simulation, validate the JSONL
