@@ -1,7 +1,7 @@
 //! Per-flow measurement results.
 
 use serde::{Deserialize, Serialize};
-use verus_stats::{StreamingStats, Summary, ThroughputSeries};
+use verus_stats::{QuantileSketch, Running, Summary, ThroughputSeries};
 
 /// Everything measured about one flow during a simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -14,16 +14,21 @@ pub struct FlowReport {
     /// [`crate::SimConfig::throughput_window`]).
     pub throughput: ThroughputSeries,
     /// Per-packet one-way delays (ms) in arrival order — the paper's
-    /// "delay" axis (self-inflicted queueing plus propagation). Empty when
-    /// the simulation was built with sample buffering disabled
-    /// ([`crate::Simulation::with_delay_samples`]); the streaming
-    /// statistics below are always populated.
+    /// "delay" axis (self-inflicted queueing plus propagation) — capped
+    /// to a uniform reservoir sample past
+    /// [`crate::Simulation::with_delay_sample_cap`]. Empty when the
+    /// simulation was built with sample buffering disabled
+    /// ([`crate::Simulation::with_delay_samples`]).
     pub delays_ms: Vec<f64>,
-    /// Streaming delay statistics (exact mean/min/max, P² quantiles,
-    /// histogram) recorded for every delivery regardless of whether raw
-    /// samples are buffered.
-    #[serde(default = "StreamingStats::for_delays_ms")]
-    pub delay_stats: StreamingStats,
+    /// Exact one-way delay moments (count, mean, std-dev, min, max, ms)
+    /// over every delivery, whether or not raw samples are buffered.
+    #[serde(default = "Running::new")]
+    pub delay_moments: Running,
+    /// P²-estimated delay quartiles and p95 plus a 10 ms-bin histogram,
+    /// kept only when raw samples are *not* buffered — the case it
+    /// stands in for. `None` whenever `delays_ms` is the sample record.
+    #[serde(default)]
+    pub delay_sketch: Option<QuantileSketch>,
     /// Packets handed to the network.
     pub sent: u64,
     /// Packets delivered to the receiver.
@@ -76,11 +81,12 @@ impl FlowReport {
 
     /// Delay summary (mean / percentiles), or `None` if nothing arrived.
     /// Computed exactly from the raw samples when they were buffered;
-    /// otherwise assembled from the streaming statistics (P² quantiles).
+    /// otherwise assembled from the exact moments and the sketch's P²
+    /// quantiles.
     #[must_use]
     pub fn delay_summary(&self) -> Option<Summary> {
         if self.delays_ms.is_empty() {
-            return self.delay_stats.summary();
+            return self.delay_sketch.as_ref()?.summary(&self.delay_moments);
         }
         Summary::from_samples(&self.delays_ms)
     }
@@ -90,8 +96,8 @@ impl FlowReport {
     /// back to averaging those.
     #[must_use]
     pub fn mean_delay_ms(&self) -> f64 {
-        if self.delay_stats.count() > 0 {
-            return self.delay_stats.mean();
+        if self.delay_moments.count() > 0 {
+            return self.delay_moments.mean();
         }
         if self.delays_ms.is_empty() {
             return 0.0;
@@ -152,6 +158,14 @@ impl FlowReport {
 mod tests {
     use super::*;
 
+    fn moments(samples: &[f64]) -> Running {
+        let mut m = Running::new();
+        for &x in samples {
+            m.push(x);
+        }
+        m
+    }
+
     fn report() -> FlowReport {
         let mut throughput = ThroughputSeries::new(1.0);
         throughput.record(0.5, 1_250_000); // 10 Mbit in second 0
@@ -161,7 +175,8 @@ mod tests {
             flow: 0,
             throughput,
             delays_ms: vec![10.0, 20.0, 30.0],
-            delay_stats: StreamingStats::from_samples(&[10.0, 20.0, 30.0]),
+            delay_moments: moments(&[10.0, 20.0, 30.0]),
+            delay_sketch: None,
             sent: 100,
             delivered: 98,
             fast_losses: 2,
@@ -218,7 +233,8 @@ mod tests {
             flow: 1,
             throughput: ThroughputSeries::new(1.0),
             delays_ms: vec![],
-            delay_stats: StreamingStats::for_delays_ms(),
+            delay_moments: Running::new(),
+            delay_sketch: None,
             sent: 0,
             delivered: 0,
             fast_losses: 0,

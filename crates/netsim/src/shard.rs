@@ -51,7 +51,7 @@ use crate::metrics::FlowReport;
 use crate::queue::QueuedPacket;
 use crate::sim::{
     finish_worker_flow, launch_into_channel, BatchPkt, ChanCounters, ChanLedger, EventKind,
-    Launch, MergeParts, Simulation,
+    Launch, MergeParts, Simulation, TtiGroups,
 };
 use std::cmp::Reverse;
 use std::sync::mpsc;
@@ -122,18 +122,19 @@ fn replay_launches(
 /// Processes one cell delivery opportunity on the merger: the same
 /// drain code path as the sequential engine, then per-packet egress
 /// impairments in drain order and `(flow, arrival)` grouping in
-/// first-seen order — the sequential TTI batch layout. Groups are
-/// routed to `pending[flow % W]` for the next round.
+/// first-seen order — the sequential TTI batch layout, through the same
+/// [`TtiGroups`]. Groups are routed to `pending[flow % W]` for the next
+/// round.
 fn process_opportunity(
     parts: &mut MergeParts,
     now: SimTime,
     ledgers: &mut [ChanLedger],
     deliveries: &mut Vec<QueuedPacket>,
-    groups: &mut Vec<(usize, SimTime, Vec<BatchPkt>)>,
+    groups: &mut TtiGroups<Vec<BatchPkt>>,
     pending: &mut [Vec<(usize, SimTime, Vec<BatchPkt>)>],
 ) {
     let blackout = parts.impairments.in_blackout(now);
-    debug_assert!(deliveries.is_empty() && groups.is_empty());
+    debug_assert!(deliveries.is_empty());
     let next = parts
         .cell
         .drain(now, blackout, &mut parts.queue, deliveries);
@@ -167,16 +168,10 @@ fn process_opportunity(
             sent_at: pkt.enqueued,
             abc: pkt.abc_mark,
         };
-        match groups
-            .iter_mut()
-            .find(|(flow, at, _)| *flow == pkt.flow && *at == deliver_at)
-        {
-            Some((_, _, pkts)) => pkts.push(bp),
-            None => groups.push((pkt.flow, deliver_at, vec![bp])),
-        }
+        groups.entry(pkt.flow, deliver_at, Vec::new).push(bp);
     }
     let workers = pending.len();
-    for (flow, at, pkts) in groups.drain(..) {
+    for (flow, at, pkts) in groups.drain() {
         pending[flow % workers].push((flow / workers, at, pkts));
     }
 }
@@ -231,7 +226,7 @@ pub(crate) fn run_sharded(
         let mut logs: Vec<Vec<Launch>> = (0..workers).map(|_| Vec::new()).collect();
         let mut cursors = vec![0usize; workers];
         let mut deliveries: Vec<QueuedPacket> = Vec::new();
-        let mut groups: Vec<(usize, SimTime, Vec<BatchPkt>)> = Vec::new();
+        let mut groups: TtiGroups<Vec<BatchPkt>> = TtiGroups::default();
 
         loop {
             // The round bound: the next channel event, horizon-clamped.

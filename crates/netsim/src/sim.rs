@@ -53,7 +53,7 @@ use verus_cellular::trace::Opportunity;
 use verus_nettypes::{
     AckEvent, CongestionControl, LossEvent, LossKind, RttEstimator, SimDuration, SimTime,
 };
-use verus_stats::{Reservoir, StreamingStats, ThroughputSeries};
+use verus_stats::{QuantileSketch, Reservoir, Running, ThroughputSeries};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EventKind {
@@ -288,6 +288,68 @@ struct Batch {
     pkts: Vec<BatchPkt>,
 }
 
+/// Marks "no group" in [`TtiGroups`]' links.
+const NO_GROUP: usize = usize::MAX;
+
+/// The open `(flow, arrival)` delivery groups of one TTI drain, kept in
+/// creation order, with an O(1) lookup per packet: each flow points at
+/// its newest open group, and each group links back to the same flow's
+/// previous one. A flow holds more than one group only when egress
+/// reordering gives some of its packets a later arrival, so the chain
+/// walked per packet is almost always one link. `P` is a group's
+/// payload: a batch slot in the sequential engine, the packet list on
+/// the sharded merger — both drains group through this one type.
+#[derive(Default)]
+pub(crate) struct TtiGroups<P> {
+    /// Per flow: index into `open` of its newest group, or `NO_GROUP`.
+    newest: Vec<usize>,
+    open: Vec<TtiGroup<P>>,
+}
+
+struct TtiGroup<P> {
+    flow: usize,
+    at: SimTime,
+    /// The same flow's previously opened group, or `NO_GROUP`.
+    prev: usize,
+    payload: P,
+}
+
+impl<P> TtiGroups<P> {
+    /// The payload of `flow`'s group arriving `at`, opening the group
+    /// with `open()` if this drain has none yet.
+    pub(crate) fn entry(&mut self, flow: usize, at: SimTime, open: impl FnOnce() -> P) -> &mut P {
+        if flow >= self.newest.len() {
+            self.newest.resize(flow + 1, NO_GROUP);
+        }
+        let mut i = self.newest[flow];
+        while i != NO_GROUP && self.open[i].at != at {
+            i = self.open[i].prev;
+        }
+        if i == NO_GROUP {
+            i = self.open.len();
+            self.open.push(TtiGroup {
+                flow,
+                at,
+                prev: self.newest[flow],
+                payload: open(),
+            });
+            self.newest[flow] = i;
+        }
+        &mut self.open[i].payload
+    }
+
+    /// Closes every group, yielding `(flow, arrival, payload)` in the
+    /// order the groups were opened. Consume the iterator fully: a
+    /// group left unyielded keeps its flow's lookup entry.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (usize, SimTime, P)> + '_ {
+        let newest = &mut self.newest;
+        self.open.drain(..).map(move |g| {
+            newest[g.flow] = NO_GROUP;
+            (g.flow, g.at, g.payload)
+        })
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PacketMeta {
     sent_at: SimTime,
@@ -326,8 +388,12 @@ pub(crate) struct FlowState {
     /// Raw per-delivery samples, reservoir-capped so long crowd runs
     /// stay bounded; left empty when sample buffering is off.
     delays: Reservoir,
-    /// Always-on O(1) delay statistics.
-    delay_stats: StreamingStats,
+    /// Exact delay moments over every delivery.
+    delay_moments: Running,
+    /// Quantile sketch, allocated only when sample buffering is off (see
+    /// [`Simulation::with_delay_samples`]); its presence is what routes
+    /// each delay sample to it instead of to `delays`.
+    delay_sketch: Option<Box<QuantileSketch>>,
     sent: u64,
     delivered: u64,
     fast_losses: u64,
@@ -569,7 +635,8 @@ pub(crate) fn build_report(global: usize, f: FlowState, end_secs: f64) -> FlowRe
         flow: global,
         throughput: f.throughput,
         delays_ms: f.delays.into_samples(),
-        delay_stats: f.delay_stats,
+        delay_moments: f.delay_moments,
+        delay_sketch: f.delay_sketch.map(|s| *s),
         sent: f.sent,
         delivered: f.delivered,
         fast_losses: f.fast_losses,
@@ -685,9 +752,6 @@ pub struct Simulation {
     rng: StdRng,
     impairments: Impairments,
     seed: u64,
-    /// Whether raw per-delivery delay samples are buffered into
-    /// `delays_ms` (streaming statistics are recorded either way).
-    record_delay_samples: bool,
     /// Logical events processed so far (throughput figure for the perf
     /// baseline). A delivery/ACK batch of k packets counts as k, so the
     /// figure stays comparable across schedulers.
@@ -703,9 +767,9 @@ pub struct Simulation {
     scratch_deliveries: Vec<QueuedPacket>,
     scratch_condemned: Vec<u64>,
     scratch_arm: Vec<(u64, SimTime)>,
-    /// Open delivery groups of the TTI being drained: `(flow,
-    /// arrival time, batch slot)`.
-    scratch_groups: Vec<(usize, SimTime, usize)>,
+    /// Open delivery groups of the TTI being drained, each holding its
+    /// batch slot.
+    scratch_groups: TtiGroups<usize>,
     /// Flows whose ledger the current event touched (invariant builds
     /// only) — conservation is checked per touched flow, not per flow.
     scratch_touched: Vec<usize>,
@@ -754,7 +818,8 @@ impl Simulation {
                 rto_retries: 0,
                 throughput: ThroughputSeries::new(window_s),
                 delays: Reservoir::new(Reservoir::DEFAULT_CAP, delay_reservoir_seed(seed, i)),
-                delay_stats: StreamingStats::for_delays_ms(),
+                delay_moments: Running::new(),
+                delay_sketch: None,
                 sent: 0,
                 delivered: 0,
                 fast_losses: 0,
@@ -797,7 +862,6 @@ impl Simulation {
             rng: StdRng::seed_from_u64(config.seed),
             impairments: Impairments::new(config.impairments),
             seed,
-            record_delay_samples: true,
             events: 0,
             in_queue_total: 0,
             batches: Vec::new(),
@@ -805,7 +869,7 @@ impl Simulation {
             scratch_deliveries: Vec::new(),
             scratch_condemned: Vec::new(),
             scratch_arm: Vec::new(),
-            scratch_groups: Vec::new(),
+            scratch_groups: TtiGroups::default(),
             scratch_touched: Vec::new(),
             pops: 0,
             mode: Mode::Full,
@@ -882,12 +946,19 @@ impl Simulation {
     }
 
     /// Disables (or re-enables) buffering of raw per-delivery delay
-    /// samples into [`FlowReport::delays_ms`]. Streaming statistics are
-    /// recorded regardless, so summaries stay available; turning the
-    /// buffer off makes long many-flow runs O(1) in memory.
+    /// samples into [`FlowReport::delays_ms`]. The exact moments
+    /// ([`FlowReport::delay_moments`]) are recorded either way. With the
+    /// buffer off, each flow keeps a P² quantile sketch and histogram
+    /// ([`FlowReport::delay_sketch`]) in its place, so summaries stay
+    /// available and long many-flow runs stay O(1) in memory; with it
+    /// on, the samples are the summary and no sketch is kept.
+    ///
+    /// Call before [`run`](Self::run).
     #[must_use]
     pub fn with_delay_samples(mut self, enabled: bool) -> Self {
-        self.record_delay_samples = enabled;
+        for f in &mut self.flows {
+            f.delay_sketch = (!enabled).then(|| Box::new(QuantileSketch::for_delays_ms()));
+        }
         self
     }
 
@@ -1459,9 +1530,10 @@ impl Simulation {
         }
         let delay = self.now.saturating_since(sent_at);
         let delay_ms = delay.as_millis_f64();
-        f.delay_stats.record(delay_ms);
-        if self.record_delay_samples {
-            f.delays.push(delay_ms);
+        f.delay_moments.push(delay_ms);
+        match f.delay_sketch {
+            Some(ref mut sketch) => sketch.record(delay_ms),
+            None => f.delays.push(delay_ms),
         }
         f.throughput
             .record(self.now.as_secs_f64(), u64::from(bytes));
@@ -1563,8 +1635,9 @@ impl Simulation {
         // robin queue drains fragment *adjacent* runs into near-per-
         // packet batches, but per-(flow, arrival) groups stay whole.
         if self.batching {
+            // A many-flow TTI opens ~100 groups, so the lookup is the
+            // per-flow index of `TtiGroups`, not a scan.
             let mut groups = std::mem::take(&mut self.scratch_groups);
-            debug_assert!(groups.is_empty());
             for pkt in deliveries.drain(..) {
                 let Some((deliver_at, sent_at)) = self.process_departure(&pkt) else {
                     continue;
@@ -1575,21 +1648,10 @@ impl Simulation {
                     sent_at,
                     abc: pkt.abc_mark,
                 };
-                // A TTI holds a handful of (flow, arrival) groups —
-                // linear scan beats hashing at this size.
-                match groups
-                    .iter()
-                    .find(|&&(flow, at, _)| flow == pkt.flow && at == deliver_at)
-                {
-                    Some(&(_, _, slot)) => self.batches[slot].pkts.push(bp),
-                    None => {
-                        let slot = self.alloc_batch(pkt.flow);
-                        self.batches[slot].pkts.push(bp);
-                        groups.push((pkt.flow, deliver_at, slot));
-                    }
-                }
+                let slot = *groups.entry(pkt.flow, deliver_at, || self.alloc_batch(pkt.flow));
+                self.batches[slot].pkts.push(bp);
             }
-            for (flow, at, slot) in groups.drain(..) {
+            for (flow, at, slot) in groups.drain() {
                 self.schedule_flow(flow, at, EventKind::DeliverBatch(slot));
             }
             self.scratch_groups = groups;
@@ -1781,7 +1843,6 @@ impl Simulation {
             rng,
             impairments,
             seed,
-            record_delay_samples,
             ..
         } = self;
         debug_assert!(matches!(service, Service::Cell(_)), "can_shard requires a cell bottleneck");
@@ -1832,7 +1893,6 @@ impl Simulation {
                         crate::impairment::ImpairmentConfig::default(),
                     ),
                     seed,
-                    record_delay_samples,
                     events: 0,
                     in_queue_total: 0,
                     batches: Vec::new(),
@@ -1840,7 +1900,7 @@ impl Simulation {
                     scratch_deliveries: Vec::new(),
                     scratch_condemned: Vec::new(),
                     scratch_arm: Vec::new(),
-                    scratch_groups: Vec::new(),
+                    scratch_groups: TtiGroups::default(),
                     scratch_touched: Vec::new(),
                     pops: 0,
                     mode: Mode::Worker {
@@ -2179,10 +2239,11 @@ mod tests {
         )))];
         let reports = fixed_sim(5e6, 40, 0.01, flows, 10, 13);
         let r = &reports[0];
-        assert_eq!(r.delay_stats.count(), r.delays_ms.len() as u64);
+        assert_eq!(r.delay_moments.count(), r.delays_ms.len() as u64);
         let exact = r.delays_ms.iter().sum::<f64>() / r.delays_ms.len() as f64;
-        assert!((r.delay_stats.mean() - exact).abs() < 1e-9);
-        assert_eq!(r.mean_delay_ms(), r.delay_stats.mean());
+        assert!((r.delay_moments.mean() - exact).abs() < 1e-9);
+        assert_eq!(r.mean_delay_ms(), r.delay_moments.mean());
+        assert!(r.delay_sketch.is_none(), "buffered samples need no sketch");
     }
 
     #[test]
@@ -2206,12 +2267,80 @@ mod tests {
         let without = make().with_delay_samples(false).run();
         assert!(!with[0].delays_ms.is_empty());
         assert!(without[0].delays_ms.is_empty());
-        // Same seed, same run: the streaming stats are identical, and the
+        // Same seed, same run: the moments are identical, and the
         // sample-free report still produces a summary.
-        assert_eq!(with[0].delay_stats.count(), without[0].delay_stats.count());
+        assert_eq!(
+            with[0].delay_moments.count(),
+            without[0].delay_moments.count()
+        );
         assert_eq!(with[0].mean_delay_ms(), without[0].mean_delay_ms());
         let s = without[0].delay_summary().expect("summary without samples");
         assert!((s.mean - with[0].delay_summary().unwrap().mean).abs() < 1e-9);
+    }
+
+    #[test]
+    fn buffered_and_unbuffered_delays_share_exact_moments() {
+        // Three contending flows on a lossy cell, so deliveries batch per
+        // TTI and loss recovery runs: turning the sample buffer off must
+        // change only where the quantiles come from, never the moments.
+        let make = || {
+            let trace = verus_cellular::Scenario::CampusStationary
+                .generate_trace(
+                    verus_cellular::OperatorModel::Etisalat3G,
+                    SimDuration::from_secs(4),
+                    5,
+                )
+                .unwrap();
+            let flows = (0..3)
+                .map(|i| {
+                    crate::config::FlowConfig::new(Box::new(FixedWindow::new(30 + 20 * i)))
+                        .starting_at(SimTime::from_millis(300 * i as u64))
+                })
+                .collect();
+            let config = SimConfig {
+                bottleneck: BottleneckConfig::Cell {
+                    trace,
+                    base_rtt: SimDuration::from_millis(40),
+                    loss: 0.01,
+                },
+                queue: QueueConfig::paper_red(),
+                flows,
+                duration: SimDuration::from_secs(4),
+                seed: 21,
+                throughput_window: SimDuration::from_secs(1),
+                impairments: Default::default(),
+                abc: None,
+            };
+            Simulation::new(config).unwrap()
+        };
+        let buffered = make().run();
+        let unbuffered = make().with_delay_samples(false).run();
+        for (b, u) in buffered.iter().zip(&unbuffered) {
+            let (mb, mu) = (&b.delay_moments, &u.delay_moments);
+            assert!(mb.count() > 100, "flow {} saw too few deliveries", b.flow);
+            assert_eq!(mb.count(), mu.count());
+            assert_eq!(mb.mean().to_bits(), mu.mean().to_bits());
+            assert_eq!(mb.std_dev().to_bits(), mu.std_dev().to_bits());
+            assert_eq!(mb.min(), mu.min());
+            assert_eq!(mb.max(), mu.max());
+            assert_eq!(b.mean_delay_ms().to_bits(), u.mean_delay_ms().to_bits());
+            // Only the unbuffered report carries the sketch, and it saw
+            // every delivery.
+            assert_eq!(b.delays_ms.len() as u64, mb.count());
+            assert!(b.delay_sketch.is_none());
+            assert!(u.delays_ms.is_empty());
+            let sketch = u
+                .delay_sketch
+                .as_ref()
+                .expect("unbuffered run keeps a sketch");
+            assert_eq!(sketch.histogram().total(), mu.count());
+            for q in [0.25, 0.5, 0.75, 0.95] {
+                assert!(sketch.quantile(q).is_some(), "no q{q} estimate");
+            }
+            let summary = u.delay_summary().expect("sketch summary");
+            assert_eq!(summary.count as u64, mu.count());
+            assert_eq!(summary.mean.to_bits(), mu.mean().to_bits());
+        }
     }
 
     #[test]

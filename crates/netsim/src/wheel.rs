@@ -17,10 +17,16 @@
 //!   non-empty slot" is a rotate + `trailing_zeros`, not a scan.
 //!
 //! Scheduling an event indexes a slot and pushes onto its `Vec`; popping
-//! takes from the *current bucket*, a tiny binary heap holding only the
-//! events of the granule being processed (a few entries, L1-resident).
-//! Slot `Vec`s and the bucket keep their capacity, so steady state
-//! allocates nothing.
+//! takes from the *current bucket*, the events of the granule being
+//! processed. A refill moves the next granule's events into the bucket
+//! and sorts them once, by descending `(time, tie)`, so each pop is a
+//! `Vec::pop` off the back rather than a heap sift. A busy granule is not
+//! small: a 10 000-flow cell crowd parks a few hundred events in each.
+//! An event scheduled into the granule being drained is a sorted insert;
+//! that is rare (about 400 of 2.5 million events in that crowd), because
+//! the event loop's delays mostly exceed a granule. Slot `Vec`s and the bucket keep their
+//! capacity, so steady state allocates nothing. The simulator and the
+//! transport's timer plane share this one structure.
 //!
 //! ## Determinism
 //!
@@ -73,20 +79,9 @@ struct Entry<K> {
     kind: K,
 }
 
-impl<K> PartialEq for Entry<K> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.tie) == (other.time, other.tie)
-    }
-}
-impl<K> Eq for Entry<K> {}
-impl<K> Ord for Entry<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.tie).cmp(&(other.time, other.tie))
-    }
-}
-impl<K> PartialOrd for Entry<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl<K> Entry<K> {
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.tie)
     }
 }
 
@@ -114,8 +109,9 @@ pub struct TimingWheel<K> {
     /// Cursor: every event with `time < cur` has been popped. Always a
     /// lower bound on the earliest pending event.
     cur: u64,
-    /// Sorted bucket for the granule currently being drained.
-    current: std::collections::BinaryHeap<std::cmp::Reverse<Entry<K>>>,
+    /// The events of the granule currently being drained, sorted by
+    /// *descending* `(time, tie)` so the next event pops off the back.
+    current: Vec<Entry<K>>,
     levels: Vec<Level<K>>,
     /// Events beyond the top level's horizon (≈ 2.3 simulated years).
     overflow: Vec<Entry<K>>,
@@ -134,7 +130,7 @@ impl<K> TimingWheel<K> {
     pub fn new() -> Self {
         Self {
             cur: 0,
-            current: std::collections::BinaryHeap::new(),
+            current: Vec::new(),
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             overflow: Vec::new(),
             len: 0,
@@ -159,11 +155,21 @@ impl<K> TimingWheel<K> {
     /// time.
     pub fn schedule(&mut self, time: SimTime, tie: u64, kind: K) {
         self.len += 1;
-        self.place(Entry {
+        let e = Entry {
             time: time.as_nanos(),
             tie,
             kind,
-        });
+        };
+        if self.in_cursor_granule(&e) {
+            // The granule being drained (or, defensively, the past —
+            // the simulator never schedules before its own clock): a
+            // sorted insert keeps the bucket's pop order.
+            let key = e.key();
+            let at = self.current.partition_point(|x| x.key() > key);
+            self.current.insert(at, e);
+        } else {
+            self.park(e);
+        }
     }
 
     /// Removes and returns the earliest event as `(time, tie, kind)`.
@@ -171,7 +177,7 @@ impl<K> TimingWheel<K> {
         if self.current.is_empty() && !self.refill() {
             return None;
         }
-        let std::cmp::Reverse(e) = self.current.pop()?;
+        let e = self.current.pop()?;
         self.len -= 1;
         Some((SimTime::from_nanos(e.time), e.tie, e.kind))
     }
@@ -186,8 +192,8 @@ impl<K> TimingWheel<K> {
             return None;
         }
         self.current
-            .peek()
-            .map(|std::cmp::Reverse(e)| (SimTime::from_nanos(e.time), e.tie))
+            .last()
+            .map(|e| (SimTime::from_nanos(e.time), e.tie))
     }
 
     /// Like [`TimingWheel::pop_next`], but only if the earliest event's
@@ -197,10 +203,10 @@ impl<K> TimingWheel<K> {
     ///
     /// A `None` may still have advanced the cursor to the (out-of-bound)
     /// earliest event's granule. That is safe for later `schedule` calls
-    /// with times in `(bound, earliest]`: `place` routes a time at or
-    /// before the cursor's granule into the current bucket, which is a
-    /// heap, so `(time, tie)` pop order is preserved. The bounded-oracle
-    /// test below pins exactly this shape.
+    /// with times in `(bound, earliest]`: `schedule` sorts a time at or
+    /// before the cursor's granule into the current bucket, so
+    /// `(time, tie)` pop order is preserved. The bounded-oracle test
+    /// below pins exactly this shape.
     pub fn pop_next_before(&mut self, bound: SimTime) -> Option<(SimTime, u64, K)> {
         if self.current.is_empty() && !self.refill() {
             return None;
@@ -208,24 +214,24 @@ impl<K> TimingWheel<K> {
         // After a refill the current bucket holds the earliest pending
         // granule, and every slot/overflow event is in a strictly later
         // granule — so the bucket top is the global minimum.
-        let top = self.current.peek()?;
-        if top.0.time > bound.as_nanos() {
+        let top = self.current.last()?;
+        if top.time > bound.as_nanos() {
             return None;
         }
-        let std::cmp::Reverse(e) = self.current.pop()?;
+        let e = self.current.pop()?;
         self.len -= 1;
         Some((SimTime::from_nanos(e.time), e.tie, e.kind))
     }
 
-    /// Routes an entry to the current bucket, a wheel slot, or overflow.
-    fn place(&mut self, e: Entry<K>) {
-        let granule = e.time >> GRAN_BITS;
-        if granule <= self.cur >> GRAN_BITS {
-            // The granule being drained (or, defensively, the past —
-            // the simulator never schedules before its own clock).
-            self.current.push(std::cmp::Reverse(e));
-            return;
-        }
+    /// Whether `e` belongs in the current bucket: its granule is the
+    /// cursor's (or earlier).
+    fn in_cursor_granule(&self, e: &Entry<K>) -> bool {
+        e.time >> GRAN_BITS <= self.cur >> GRAN_BITS
+    }
+
+    /// Files an entry past the cursor's granule into a wheel slot, or
+    /// into overflow beyond the top level's horizon.
+    fn park(&mut self, e: Entry<K>) {
         for (l, level) in self.levels.iter_mut().enumerate() {
             let shift = GRAN_BITS + SLOT_BITS * u32::try_from(l).unwrap_or(0);
             if (e.time >> shift) - (self.cur >> shift) < SLOTS as u64 {
@@ -240,8 +246,9 @@ impl<K> TimingWheel<K> {
     }
 
     /// Advances the cursor to the next non-empty slot (cascading outer
-    /// levels as needed) and loads it into the current bucket. Returns
-    /// `false` when the wheel is empty.
+    /// levels as needed), loads it into the current bucket and sorts the
+    /// bucket. Returns `false` when the wheel is empty. Called only on
+    /// an empty bucket, so the bucket is filled unsorted and sorted once.
     ///
     /// The loop keeps consuming candidate slots until *no remaining slot
     /// can hold an event in the current bucket's granule*: a level-0
@@ -276,6 +283,7 @@ impl<K> TimingWheel<K> {
             }
             let Some((start, l)) = best else {
                 if !self.current.is_empty() {
+                    self.sort_current();
                     return true;
                 }
                 // Every level empty: pull the overflow back in, if any.
@@ -286,7 +294,7 @@ impl<K> TimingWheel<K> {
                 self.cur = self.cur.max((min_t >> GRAN_BITS) << GRAN_BITS);
                 let pending = std::mem::take(&mut self.overflow);
                 for e in pending {
-                    self.place(e);
+                    self.file(e);
                 }
                 continue;
             };
@@ -296,6 +304,7 @@ impl<K> TimingWheel<K> {
                 // an event that should pop before the bucket drains.
                 let granule_end = ((self.cur >> GRAN_BITS) + 1) << GRAN_BITS;
                 if start >= granule_end {
+                    self.sort_current();
                     return true;
                 }
             }
@@ -306,17 +315,32 @@ impl<K> TimingWheel<K> {
             let mut events = std::mem::take(&mut self.levels[l].slots[slot]);
             self.levels[l].occ &= !(1u64 << slot);
             if l == 0 {
-                for e in events.drain(..) {
-                    self.current.push(std::cmp::Reverse(e));
-                }
+                self.current.append(&mut events);
             } else {
                 for e in events.drain(..) {
-                    self.place(e);
+                    self.file(e);
                 }
             }
             // Hand the (empty) Vec back so the slot keeps its capacity.
             self.levels[l].slots[slot] = events;
         }
+    }
+
+    /// Refill's routing: an entry in the cursor's granule joins the
+    /// (still unsorted) bucket, any later one is parked.
+    fn file(&mut self, e: Entry<K>) {
+        if self.in_cursor_granule(&e) {
+            self.current.push(e);
+        } else {
+            self.park(e);
+        }
+    }
+
+    /// Sorts the freshly filled bucket by descending `(time, tie)`.
+    /// Keys are unique, so the unstable sort is deterministic.
+    fn sort_current(&mut self) {
+        self.current
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
     }
 }
 
@@ -435,6 +459,73 @@ mod tests {
         while let Some((t, got_tie, _)) = w.pop_next() {
             let std::cmp::Reverse((et, etie)) = pending.pop().expect("reference non-empty");
             assert_eq!((t.as_nanos(), got_tie), (et, etie));
+        }
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn same_granule_inserts_interleaved_with_pops_match_reference_heap() {
+        // The sorted bucket's insert path: thousands of schedules into
+        // the granule being drained, at times before, between and after
+        // the pending ones, interleaved with plain and bounded pops. A
+        // second granule is kept busy too so refills keep re-sorting.
+        let g = 1u64 << GRAN_BITS;
+        let mut rng = SplitMix64(2024);
+        let mut w = TimingWheel::new();
+        let mut pending: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>> =
+            std::collections::BinaryHeap::new();
+        let mut tie = 0u64;
+        let mut now = 0u64;
+        let mut same_granule = 0;
+        for step in 0..6_000u32 {
+            // Keep ties interleaved rather than monotone, like the event
+            // loop's per-flow counters: unique but unordered.
+            let t = now + rng.next() % (g - now % g);
+            let key = (tie * 7919) % 1_000_003;
+            tie += 1;
+            w.schedule(SimTime::from_nanos(t), key, step);
+            pending.push(std::cmp::Reverse((t, key, step)));
+            if t >> GRAN_BITS == now >> GRAN_BITS {
+                same_granule += 1;
+            }
+            if rng.next().is_multiple_of(4) {
+                // A later granule's event, so the next refill sorts a
+                // bucket that already saw inserts.
+                let t = now + g + rng.next() % (3 * g);
+                let key = 1_000_003 + tie;
+                tie += 1;
+                w.schedule(SimTime::from_nanos(t), key, step);
+                pending.push(std::cmp::Reverse((t, key, step)));
+            }
+            for _ in 0..(rng.next() % 3) {
+                let got = if rng.next().is_multiple_of(2) {
+                    w.pop_next()
+                } else {
+                    // Bound inside the pending range: either pops the
+                    // minimum or refuses it, never anything else.
+                    let bound = now + rng.next() % (g / 2);
+                    match w.pop_next_before(SimTime::from_nanos(bound)) {
+                        None => {
+                            let min = pending.peek().map(|r| r.0 .0);
+                            assert!(min.is_none_or(|m| m > bound), "refused an in-bound event");
+                            continue;
+                        }
+                        some => some,
+                    }
+                };
+                let (t, got_tie, k) = got.expect("wheel non-empty");
+                let std::cmp::Reverse(want) = pending.pop().expect("reference non-empty");
+                assert_eq!((t.as_nanos(), got_tie, k), want, "step {step}");
+                now = t.as_nanos();
+            }
+        }
+        assert!(
+            same_granule >= 1_000,
+            "only {same_granule} same-granule schedules"
+        );
+        while let Some((t, got_tie, k)) = w.pop_next() {
+            let std::cmp::Reverse(want) = pending.pop().expect("reference non-empty");
+            assert_eq!((t.as_nanos(), got_tie, k), want);
         }
         assert!(pending.is_empty());
     }

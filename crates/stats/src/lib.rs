@@ -40,5 +40,5 @@ pub use quantile::{quantile, P2Quantile, Summary};
 pub use regret::{regret, utility, DEFAULT_DELTA};
 pub use reservoir::Reservoir;
 pub use running::Running;
-pub use stream::StreamingStats;
+pub use stream::{QuantileSketch, StreamingStats};
 pub use timeseries::{windowed_jain_mean, windowed_jain_mean_from, ThroughputSeries, WindowedSeries};

@@ -5,26 +5,120 @@
 //! (`delays_ms: Vec<f64>`) just to compute a mean and a few percentiles
 //! at the end — hundreds of megabytes for a five-minute many-flow run.
 //! [`StreamingStats`] replaces that buffer: [`crate::Running`] gives the
-//! exact mean/variance/min/max, four [`crate::quantile::P2Quantile`]
-//! markers estimate the quartiles and the p95 the paper reports, and a
-//! [`crate::Histogram`] keeps the coarse shape for CDF plots. Everything
-//! updates in O(1) per sample.
+//! exact mean/variance/min/max, and a [`QuantileSketch`] — four
+//! [`crate::quantile::P2Quantile`] markers estimating the quartiles and
+//! the p95 the paper reports, plus a [`crate::Histogram`] keeping the
+//! coarse shape for CDF plots — stands in for the percentiles.
+//! Everything updates in O(1) per sample. The sketch is a type of its
+//! own so a holder that already keeps exact samples (the simulator's
+//! flow reports) can keep the moments alone and skip its cost.
 
 use crate::histogram::Histogram;
 use crate::quantile::{P2Quantile, Summary};
 use crate::running::Running;
 use serde::{Deserialize, Serialize};
 
-/// O(1)-per-sample replacement for a buffered sample vector: exact
-/// moments, P²-estimated quantiles, fixed-width histogram.
+/// P²-estimated quartiles and p95 plus a fixed-width histogram: the
+/// approximate half of [`StreamingStats`], without the exact moments.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamingStats {
-    running: Running,
+pub struct QuantileSketch {
     p25: P2Quantile,
     p50: P2Quantile,
     p75: P2Quantile,
     p95: P2Quantile,
     hist: Histogram,
+}
+
+impl QuantileSketch {
+    /// Creates a sketch whose histogram covers `[hist_lo, hist_hi)` with
+    /// `bins` uniform bins (samples outside the range still feed the
+    /// quantiles; the histogram tallies them as out-of-range).
+    #[must_use]
+    pub fn new(hist_lo: f64, hist_hi: f64, bins: usize) -> Self {
+        Self {
+            p25: P2Quantile::new(0.25),
+            p50: P2Quantile::new(0.5),
+            p75: P2Quantile::new(0.75),
+            p95: P2Quantile::new(0.95),
+            hist: Histogram::new(hist_lo, hist_hi, bins),
+        }
+    }
+
+    /// The sketch used for per-packet one-way delays: 10 ms bins over
+    /// `[0, 4000)` ms — four seconds of queueing covers everything short
+    /// of a blackout, and out-of-range samples are still counted.
+    #[must_use]
+    pub fn for_delays_ms() -> Self {
+        Self::new(0.0, 4000.0, 400)
+    }
+
+    /// Adds one sample.
+    pub fn record(&mut self, x: f64) {
+        self.p25.push(x);
+        self.p50.push(x);
+        self.p75.push(x);
+        self.p95.push(x);
+        self.hist.add(x);
+    }
+
+    /// Estimated quantile for the four tracked points (`0.25`, `0.5`,
+    /// `0.75`, `0.95`); `None` when empty or for an untracked `q`.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let est = [&self.p25, &self.p50, &self.p75, &self.p95]
+            .into_iter()
+            .find(|e| (e.quantile() - q).abs() < 1e-12)?;
+        est.estimate()
+    }
+
+    /// The histogram of in-range samples.
+    #[must_use]
+    pub fn histogram(&self) -> &Histogram {
+        &self.hist
+    }
+
+    /// Merges another sketch into this one (see
+    /// [`StreamingStats::merge`] for what stays exact).
+    ///
+    /// # Panics
+    /// Panics if the histograms have different geometry.
+    pub fn merge(&mut self, other: &QuantileSketch) {
+        self.p25.merge(&other.p25);
+        self.p50.merge(&other.p50);
+        self.p75.merge(&other.p75);
+        self.p95.merge(&other.p95);
+        self.hist.merge(&other.hist);
+    }
+
+    /// A [`Summary`] of the stream this sketch saw, with `moments` the
+    /// exact [`Running`] over the same samples: exact
+    /// count/mean/std-dev/min/max, P²-estimated quartiles and p95 (exact
+    /// below five samples). `None` when empty.
+    #[must_use]
+    pub fn summary(&self, moments: &Running) -> Option<Summary> {
+        if moments.count() == 0 {
+            return None;
+        }
+        Some(Summary {
+            count: usize::try_from(moments.count()).unwrap_or(usize::MAX),
+            mean: moments.mean(),
+            std_dev: moments.std_dev(),
+            min: moments.min().unwrap_or(0.0),
+            p25: self.p25.estimate().unwrap_or(0.0),
+            median: self.p50.estimate().unwrap_or(0.0),
+            p75: self.p75.estimate().unwrap_or(0.0),
+            p95: self.p95.estimate().unwrap_or(0.0),
+            max: moments.max().unwrap_or(0.0),
+        })
+    }
+}
+
+/// O(1)-per-sample replacement for a buffered sample vector: exact
+/// moments, P²-estimated quantiles, fixed-width histogram.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StreamingStats {
+    running: Running,
+    sketch: QuantileSketch,
 }
 
 impl StreamingStats {
@@ -35,30 +129,24 @@ impl StreamingStats {
     pub fn new(hist_lo: f64, hist_hi: f64, bins: usize) -> Self {
         Self {
             running: Running::new(),
-            p25: P2Quantile::new(0.25),
-            p50: P2Quantile::new(0.5),
-            p75: P2Quantile::new(0.75),
-            p95: P2Quantile::new(0.95),
-            hist: Histogram::new(hist_lo, hist_hi, bins),
+            sketch: QuantileSketch::new(hist_lo, hist_hi, bins),
         }
     }
 
-    /// The collector used for per-packet one-way delays: 10 ms bins over
-    /// `[0, 4000)` ms — four seconds of queueing covers everything short
-    /// of a blackout, and out-of-range samples are still counted.
+    /// The collector used for per-packet one-way delays, with the
+    /// histogram geometry of [`QuantileSketch::for_delays_ms`].
     #[must_use]
     pub fn for_delays_ms() -> Self {
-        Self::new(0.0, 4000.0, 400)
+        Self {
+            running: Running::new(),
+            sketch: QuantileSketch::for_delays_ms(),
+        }
     }
 
     /// Adds one sample.
     pub fn record(&mut self, x: f64) {
         self.running.push(x);
-        self.p25.push(x);
-        self.p50.push(x);
-        self.p75.push(x);
-        self.p95.push(x);
-        self.hist.add(x);
+        self.sketch.record(x);
     }
 
     /// Builds a collector from a slice (tests, fixtures).
@@ -105,16 +193,13 @@ impl StreamingStats {
     /// `0.75`, `0.95`); `None` when empty or for an untracked `q`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let est = [&self.p25, &self.p50, &self.p75, &self.p95]
-            .into_iter()
-            .find(|e| (e.quantile() - q).abs() < 1e-12)?;
-        est.estimate()
+        self.sketch.quantile(q)
     }
 
     /// The histogram of in-range samples.
     #[must_use]
     pub fn histogram(&self) -> &Histogram {
-        &self.hist
+        self.sketch.histogram()
     }
 
     /// Merges another collector into this one, deterministically, so
@@ -137,11 +222,7 @@ impl StreamingStats {
     /// `hist_lo`/`hist_hi`/`bins`).
     pub fn merge(&mut self, other: &StreamingStats) {
         self.running.merge(&other.running);
-        self.p25.merge(&other.p25);
-        self.p50.merge(&other.p50);
-        self.p75.merge(&other.p75);
-        self.p95.merge(&other.p95);
-        self.hist.merge(&other.hist);
+        self.sketch.merge(&other.sketch);
     }
 
     /// A [`Summary`] assembled from the streaming state: exact
@@ -149,20 +230,7 @@ impl StreamingStats {
     /// below five samples). `None` when empty.
     #[must_use]
     pub fn summary(&self) -> Option<Summary> {
-        if self.count() == 0 {
-            return None;
-        }
-        Some(Summary {
-            count: usize::try_from(self.count()).unwrap_or(usize::MAX),
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min().unwrap_or(0.0),
-            p25: self.p25.estimate().unwrap_or(0.0),
-            median: self.p50.estimate().unwrap_or(0.0),
-            p75: self.p75.estimate().unwrap_or(0.0),
-            p95: self.p95.estimate().unwrap_or(0.0),
-            max: self.max().unwrap_or(0.0),
-        })
+        self.sketch.summary(&self.running)
     }
 }
 

@@ -39,6 +39,13 @@ cargo test --release -q -p verus-bench --test fault_injection \
 cargo test --release -q -p verus-netsim --test sched_equivalence \
   --features verus-netsim/strict-invariants
 
+# Scheduler invariants: the Wheel-vs-LegacyHeap equivalence suite the same
+# way — byte-identical reports across the two schedulers, including a
+# 300-flow mixed-protocol crowd with reordering and its sketch-only
+# (no delay samples) variant, with every per-event ledger check armed.
+cargo test --release -q -p verus-bench --test sched_equivalence \
+  --features verus-netsim/strict-invariants
+
 # Benchmark smoke: every perfbench workload, briefly, in traced mode,
 # which arms every benchmark gate (per-flow ledgers, repeated-pass
 # digests, the Sharded{2} crowd digest, traced == untraced cell jobs, the

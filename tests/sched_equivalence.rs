@@ -129,15 +129,70 @@ fn fixed_dumbbell(seed: u64) -> SimConfig {
     }
 }
 
-/// Runs `config` on the given scheduler and returns the reports'
-/// canonical byte form. `Debug` covers every public field of every
-/// report — throughput series, delay samples, streaming stats, ledger
-/// residuals, completion times — so byte equality here is report
-/// equality.
-fn run_reports(config: SimConfig, kind: SchedulerKind) -> String {
-    let sim = Simulation::new(config).expect("valid config").with_scheduler(kind);
+/// A 300-flow crowd behind the paper's RED queue: Verus, CUBIC and
+/// NewReno in turn, starts staggered 5 ms apart, on the LTE burst
+/// structure scaled 100×. Four forward-path extras (0, 3, 7 and 12 ms)
+/// spread one TTI's departures over several arrival times, and egress
+/// reordering gives some packets a later arrival than their flow's
+/// others. At seed 11 the busiest drain holds 32 `(flow, arrival)`
+/// groups, and about 3 000 groups are a flow's second in their TTI.
+fn mixed_crowd_with_reordering(seed: u64) -> SimConfig {
+    const PROTOCOLS: [&str; 3] = ["verus", "cubic", "newreno"];
+    const EXTRA_FWD_MS: [u64; 4] = [0, 3, 7, 12];
+    let flows = (0..300usize)
+        .map(|i| {
+            let mut f = FlowConfig::new(cc_by_name(PROTOCOLS[i % 3], 2.0))
+                .starting_at(SimTime::from_millis(i as u64 * 5));
+            f.extra_fwd_delay = SimDuration::from_millis(EXTRA_FWD_MS[i % 4]);
+            if PROTOCOLS[i % 3] != "verus" {
+                f.loss_detection = LossDetection::tcp();
+            }
+            f
+        })
+        .collect();
+    SimConfig {
+        bottleneck: BottleneckConfig::Cell {
+            trace: Scenario::CampusStationary
+                .generate_trace(OperatorModel::EtisalatLte, SimDuration::from_secs(4), seed)
+                .expect("trace")
+                .scale_rate(100.0),
+            base_rtt: SimDuration::from_millis(40),
+            loss: 0.0,
+        },
+        queue: QueueConfig::paper_red(),
+        flows,
+        duration: SimDuration::from_secs(4),
+        seed,
+        throughput_window: SimDuration::from_secs(1),
+        impairments: ImpairmentConfig {
+            reorder_prob: 0.02,
+            reorder_extra_delay: SimDuration::from_millis(4),
+            seed: seed.wrapping_mul(17),
+            ..ImpairmentConfig::default()
+        },
+        abc: None,
+    }
+}
+
+/// Runs `config` on the given scheduler, with raw delay-sample buffering
+/// on or off, and returns the reports' canonical byte form. `Debug`
+/// covers every public field of every report — throughput series, delay
+/// samples or sketch, exact moments, ledger residuals, completion times
+/// — so byte equality here is report equality.
+fn run_reports(config: SimConfig, kind: SchedulerKind, delay_samples: bool) -> String {
+    let sim = Simulation::new(config)
+        .expect("valid config")
+        .with_scheduler(kind)
+        .with_delay_samples(delay_samples);
     assert_eq!(sim.scheduler(), kind, "scheduler selection must stick");
-    format!("{:#?}", sim.run())
+    let out = format!("{:#?}", sim.run());
+    // Unbuffered flows carry the quantile sketch instead of samples.
+    assert_eq!(
+        out.contains("delay_sketch: Some("),
+        !delay_samples,
+        "delay-sample setting must stick"
+    );
+    out
 }
 
 /// Runs `config` with flow 0 traced on the given scheduler and returns
@@ -160,9 +215,13 @@ fn run_jsonl(mut config: SimConfig, kind: SchedulerKind) -> String {
 }
 
 fn assert_equivalent(name: &str, mk: fn(u64) -> SimConfig) {
-    for seed in SEEDS {
-        let wheel = run_reports(mk(seed), SchedulerKind::Wheel);
-        let heap = run_reports(mk(seed), SchedulerKind::LegacyHeap);
+    assert_equivalent_on(name, mk, &SEEDS, true);
+}
+
+fn assert_equivalent_on(name: &str, mk: fn(u64) -> SimConfig, seeds: &[u64], delay_samples: bool) {
+    for &seed in seeds {
+        let wheel = run_reports(mk(seed), SchedulerKind::Wheel, delay_samples);
+        let heap = run_reports(mk(seed), SchedulerKind::LegacyHeap, delay_samples);
         assert!(
             wheel == heap,
             "{name} seed {seed}: FlowReports diverged between Wheel and LegacyHeap\n\
@@ -194,6 +253,28 @@ fn fixed_dumbbell_reports_match() {
 }
 
 #[test]
+fn mixed_crowd_with_reordering_reports_match() {
+    assert_equivalent_on(
+        "300-flow mixed crowd",
+        mixed_crowd_with_reordering,
+        &SEEDS[..1],
+        true,
+    );
+}
+
+#[test]
+fn mixed_crowd_without_delay_samples_reports_match() {
+    // The delay sketch replaces the sample buffer here, so its P² and
+    // histogram updates must also see the same delays in the same order.
+    assert_equivalent_on(
+        "300-flow mixed crowd, no delay samples",
+        mixed_crowd_with_reordering,
+        &SEEDS[1..2],
+        false,
+    );
+}
+
+#[test]
 fn trace_jsonl_is_byte_identical_across_schedulers() {
     for seed in SEEDS {
         let wheel = run_jsonl(single_flow_cell(seed), SchedulerKind::Wheel);
@@ -222,10 +303,18 @@ fn batching_actually_reduces_event_count() {
     let heap = Simulation::new(ten_flow_red_cell(SEEDS[0]))
         .expect("valid config")
         .with_scheduler(SchedulerKind::LegacyHeap);
-    let (_, wheel_events) = wheel.run_counted();
-    let (_, heap_events) = heap.run_counted();
+    let (_, wheel_events, wheel_pops) = wheel.run_instrumented();
+    let (_, heap_events, heap_pops) = heap.run_instrumented();
     assert_eq!(
         wheel_events, heap_events,
         "logical event counts must agree across schedulers"
+    );
+    assert_eq!(
+        heap_pops, heap_events,
+        "the heap oracle pops once per event"
+    );
+    assert!(
+        wheel_pops < heap_pops,
+        "batching saved no pops: wheel {wheel_pops} vs heap {heap_pops}"
     );
 }
