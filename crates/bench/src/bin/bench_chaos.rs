@@ -3,8 +3,8 @@
 //!
 //! The resilience contract the session layer (DESIGN.md §12) makes:
 //! after every outage window ends, the system is *measurably back* —
-//! the simulator delivers packets again, and the supervised transport
-//! sender re-enters `Established` — within a fixed budget derived from
+//! the simulator delivers packets again, and the transport flow's
+//! session re-enters `Established` — within a fixed budget derived from
 //! the reconnect backoff cap:
 //!
 //! ```text
@@ -28,7 +28,7 @@
 //!   substrates; sim = first delivered throughput window, transport =
 //!   first `Established` transition);
 //! * zero stuck flows — the sim flow delivers after the last outage,
-//!   the supervised session ends `Closed` having reached `Established`;
+//!   the transport session ends `Closed` having reached `Established`;
 //! * the conservation ledger balances, including the overload guard's
 //!   `shed_dropped` column.
 //!
@@ -37,63 +37,20 @@
 //! job jq-validates that record.
 
 use std::fmt::Write as _;
-use std::time::Duration;
-use verus_core::VerusCc;
-use verus_netsim::chaos::{ChaosSchedule, ChaosScript};
-use verus_netsim::impairment::Blackout;
-use verus_netsim::queue::QueueConfig;
-use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
-use verus_nettypes::{SimDuration, SimTime};
-use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SessionConfig, SessionState,
-    SupervisedSender, SupervisorConfig, WallClock,
+use verus_bench::soak::{
+    blackout_train, loss_spikes, sim_soak, transport_soak, BACKOFF_CAP, SEED, SLO_BUDGET,
 };
-
-const SEED: u64 = 21;
-const BACKOFF_CAP: SimDuration = SimDuration::from_millis(1000);
-const SLO_BUDGET: SimDuration = SimDuration::from_millis(2000);
-
-/// Synthetic constant-rate trace: one opportunity per millisecond,
-/// looped for the run's lifetime (same shape as the fault-injection
-/// soak's channel).
-fn steady_trace(bytes_per_ms: u32, secs: u64) -> verus_cellular::Trace {
-    verus_cellular::Trace::from_times(
-        "steady",
-        (0..secs * 1000).map(SimTime::from_millis),
-        bytes_per_ms,
-    )
-    .expect("trace")
-}
-
-/// The adversarial script: a blackout train over burst loss. `start`,
-/// `outage`, `gap`, `repeats` shape the train; loss spikes ride along
-/// for the whole run.
-fn schedule(start_s: u64, outage_ms: u64, gap_ms: u64, repeats: u64) -> ChaosSchedule {
-    ChaosSchedule::new(SEED)
-        .with(ChaosScript::FlappingBlackout {
-            start: SimTime::from_secs(start_s),
-            outage: SimDuration::from_millis(outage_ms),
-            gap: SimDuration::from_millis(gap_ms),
-            repeats,
-        })
-        .with(spikes())
-}
+use verus_netsim::chaos::ChaosSchedule;
+use verus_netsim::impairment::Blackout;
+use verus_nettypes::SimDuration;
+use verus_transport::SessionState;
 
 /// Full mode runs the shared `BlackoutRecovery` stress scenario — the
 /// same named outage train `bench_tournament` scores protocols on —
 /// with the soak's loss spikes riding along.
 fn full_sim_schedule() -> ChaosSchedule {
     ChaosSchedule::for_stress(&verus_cellular::StressScenario::BlackoutRecovery, SEED)
-        .with(spikes())
-}
-
-fn spikes() -> ChaosScript {
-    ChaosScript::LossSpikeTrain {
-        p_enter: 0.02,
-        p_exit: 0.5,
-        base_loss: 0.0,
-        spike_loss: 1.0,
-    }
+        .with(loss_spikes())
 }
 
 struct SimOutcome {
@@ -111,31 +68,9 @@ struct SimOutcome {
 
 /// Runs the simulator soak and measures, for each blackout end, the
 /// time until the first 100 ms throughput window with deliveries.
-fn sim_soak(sched: &ChaosSchedule, duration: SimDuration) -> SimOutcome {
-    let impairments = sched.compile().expect("chaos schedule compiles");
+fn judge_sim(sched: &ChaosSchedule, duration: SimDuration) -> SimOutcome {
     let windows = sched.blackout_windows();
-    let config = SimConfig {
-        bottleneck: BottleneckConfig::Cell {
-            trace: steady_trace(3500, 2), // 28 Mbit/s, looped
-            base_rtt: SimDuration::from_millis(40),
-            loss: 0.0,
-        },
-        queue: QueueConfig::DropTail {
-            capacity_bytes: 1 << 20,
-        },
-        // The overload guard rides along: quota over the cap is shed
-        // into the ledger's `shed_dropped` column, which the balance
-        // check below must absorb exactly.
-        flows: vec![FlowConfig::new(Box::new(VerusCc::default())).with_shed_cap(1024)],
-        duration,
-        seed: SEED,
-        throughput_window: SimDuration::from_millis(100),
-        impairments,
-        abc: None,
-    };
-    let reports = Simulation::new(config).expect("valid config").run();
-    let r = &reports[0];
-
+    let r = sim_soak(sched, duration);
     let series = r.throughput.series_bps();
     let recoveries_ms = windows
         .iter()
@@ -170,32 +105,12 @@ struct TransportOutcome {
     ledger_consistent: bool,
 }
 
-/// Runs the supervised sender through an impaired emulator and judges
-/// the recovery SLO from the session transition log: for each blackout
-/// end, the first `Established` edge at or after it.
-fn transport_soak(sched: &ChaosSchedule, duration: Duration) -> std::io::Result<TransportOutcome> {
-    let impairments = sched.compile().expect("chaos schedule compiles");
+/// Runs the transport soak and judges the recovery SLO from the
+/// session transition log: for each blackout end, the first
+/// `Established` edge at or after it.
+fn judge_transport(sched: &ChaosSchedule, duration: SimDuration) -> std::io::Result<TransportOutcome> {
     let windows = sched.blackout_windows();
-    let clock = WallClock::new();
-    let receiver = Receiver::spawn("127.0.0.1:0", clock)?;
-    let mut emu_config = EmulatorConfig::new(steady_trace(1000, 2), receiver.local_addr());
-    emu_config.impairments = impairments;
-    let emulator = Emulator::spawn(emu_config, clock)?;
-
-    let mut config = SupervisorConfig::new(SenderConfig::new(emulator.ingress_addr(), duration));
-    config.session = SessionConfig {
-        idle_degraded: SimDuration::from_millis(300),
-        degraded_grace: SimDuration::from_millis(200),
-        drain_timeout: SimDuration::from_secs(2),
-        backoff_base: SimDuration::from_millis(50),
-        backoff_cap: BACKOFF_CAP,
-        seed: SEED,
-        session_id: 0,
-    };
-    let report = SupervisedSender::new(config, clock).run(Box::new(VerusCc::default()))?;
-    emulator.stop();
-    receiver.stop();
-
+    let report = transport_soak(sched, duration)?;
     let recovery_for = |b: &Blackout| -> Option<SimDuration> {
         report
             .transitions
@@ -234,17 +149,17 @@ fn main() {
     // Full: a 3-outage train over a 30 s soak on both substrates.
     let (sim_sched, sim_dur, tr_sched, tr_dur) = if smoke {
         (
-            schedule(3, 1500, 3000, 2),
+            blackout_train(3, 1500, 3000, 2),
             SimDuration::from_secs(12),
-            schedule(2, 1500, 3000, 1),
-            Duration::from_secs(8),
+            blackout_train(2, 1500, 3000, 1),
+            SimDuration::from_secs(8),
         )
     } else {
         (
             full_sim_schedule(),
             SimDuration::from_secs(30),
-            schedule(4, 2000, 6000, 3),
-            Duration::from_secs(30),
+            blackout_train(4, 2000, 6000, 3),
+            SimDuration::from_secs(30),
         )
     };
 
@@ -255,7 +170,7 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let sim = sim_soak(&sim_sched, sim_dur);
+    let sim = judge_sim(&sim_sched, sim_dur);
     let mut sorted = sim.recoveries_ms.clone();
     sorted.sort_by(f64::total_cmp);
     let sim_p99 = p99(&sorted);
@@ -274,7 +189,7 @@ fn main() {
     assert!(sim_slo, "sim recovery p99 {sim_p99:.0} ms exceeds the SLO budget");
     assert!(sim.delivered > 0, "sim flow stuck: nothing delivered");
 
-    let tr = transport_soak(&tr_sched, tr_dur).expect("transport soak I/O");
+    let tr = judge_transport(&tr_sched, tr_dur).expect("transport soak I/O");
     println!(
         "  transport: {} blackouts, established={}, recovered_all={}, \
          p99_within_slo={}, closed={}, ledger_consistent={}",

@@ -8,7 +8,8 @@
 //!
 //! This library holds the pieces those binaries share: protocol
 //! factories, simulation runners for the two testbed shapes (dumbbell and
-//! trace-driven cell), and the table/JSON output helpers.
+//! trace-driven cell), the chaos soak's runs, and the table/JSON output
+//! helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +17,7 @@
 pub mod output;
 pub mod parallel;
 pub mod runners;
+pub mod soak;
 
 pub use output::{guard_finite, print_table, results_dir, write_json};
 pub use parallel::{default_jobs, run_ordered};

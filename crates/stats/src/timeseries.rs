@@ -37,8 +37,8 @@ impl ThroughputSeries {
     /// Records `bytes` delivered at time `t_s`, in seconds from whatever
     /// origin the caller picks: window 0 starts there. The simulator
     /// passes absolute simulation time, so a late-starting flow's early
-    /// windows stay empty; the UDP senders pass seconds since the
-    /// sender started.
+    /// windows stay empty; the transport's `ShardServer` passes seconds
+    /// since its run started.
     pub fn record(&mut self, t_s: f64, bytes: u64) {
         assert!(t_s >= 0.0, "negative timestamp {t_s}");
         let idx = (t_s / self.window_s) as usize;

@@ -210,7 +210,8 @@ impl SessionEventKind {
     }
 }
 
-/// One session lifecycle event (emitted by the transport supervisor).
+/// One session lifecycle event (a transport session's state change or
+/// completed recovery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionRecord {
     /// Timestamp in nanoseconds.

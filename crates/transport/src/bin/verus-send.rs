@@ -1,7 +1,10 @@
 //! `verus-send` — the sender application (paper §5's sender).
 //!
 //! Runs a congestion controller (Verus by default, or any baseline) over
-//! UDP towards a `verus-recv` instance, then prints transfer statistics.
+//! UDP towards a `verus-recv` instance as one flow of the transport's
+//! `ShardServer`, then prints the flow's statistics. The socket binds to
+//! loopback for a loopback destination and to the unspecified address
+//! otherwise.
 //!
 //! ```bash
 //! verus-send <dest-addr> [options]
@@ -13,11 +16,10 @@
 //! ```
 
 use std::net::SocketAddr;
-use std::time::Duration;
 use verus_baselines::{Cubic, NewReno, Sprout, Vegas};
 use verus_core::{VerusCc, VerusConfig};
-use verus_nettypes::CongestionControl;
-use verus_transport::{SenderConfig, UdpSender, WallClock};
+use verus_nettypes::{CongestionControl, SimDuration};
+use verus_transport::{FlowSpec, SessionReport, ShardServer, ShardServerConfig, WallClock};
 
 struct Args {
     dest: SocketAddr,
@@ -84,6 +86,31 @@ fn controller(proto: &str, r: f64) -> Result<Box<dyn CongestionControl>, String>
     })
 }
 
+/// The flow's report as one JSON object.
+fn report_json(r: &SessionReport) -> String {
+    let s = &r.stats;
+    format!(
+        "{{\n  \"protocol\": \"{}\",\n  \"sent\": {},\n  \"acked\": {},\n  \
+         \"fast_losses\": {},\n  \"timeouts\": {},\n  \"shed_dropped\": {},\n  \
+         \"duration_secs\": {:.3},\n  \"throughput_mbps\": {:.3},\n  \
+         \"delay_ms\": {{ \"mean\": {:.3}, \"std\": {:.3}, \"max\": {:.3} }},\n  \
+         \"final_state\": \"{:?}\",\n  \"probes_sent\": {}\n}}",
+        s.protocol,
+        s.sent,
+        s.acked,
+        s.fast_losses,
+        s.timeouts,
+        s.shed_dropped,
+        s.duration_secs,
+        s.mean_throughput_mbps(),
+        s.mean_delay_ms(),
+        s.delay_ms.std_dev(),
+        s.delay_ms.max().unwrap_or(0.0),
+        r.final_state,
+        r.probes_sent,
+    )
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -101,43 +128,39 @@ fn main() {
     };
     // The gap timer: Verus' §5.2 3×delay; RACK-ish 2× for the baselines.
     let gap_factor = if args.proto == "verus" { 3.0 } else { 2.0 };
-    let config = SenderConfig {
-        bind: "0.0.0.0:0".into(),
+    let config = ShardServerConfig {
         packet_bytes: args.bytes,
         gap_factor,
-        ..SenderConfig::new(args.dest, Duration::from_secs(args.secs))
+        ..ShardServerConfig::one_flow(SimDuration::from_secs(args.secs))
     };
     eprintln!(
         "verus-send: {} → {} for {} s ({} B packets)",
         args.proto, args.dest, args.secs, args.bytes
     );
-    let stats = match UdpSender::new(config, WallClock::new()).run(cc) {
-        Ok(s) => s,
+    let server = ShardServer::new(config);
+    let flow = match server.run(vec![FlowSpec::stream(args.dest, cc)], WallClock::new()) {
+        Ok(mut r) => r.flows.remove(0),
         Err(e) => {
             eprintln!("transfer failed: {e}");
             std::process::exit(1);
         }
     };
     if args.json {
-        match serde_json::to_string_pretty(&stats) {
-            Ok(s) => println!("{s}"),
-            Err(e) => eprintln!("serialize: {e}"),
-        }
+        println!("{}", report_json(&flow));
     } else {
+        let s = &flow.stats;
         println!(
             "throughput : {:.3} Mbit/s ({} acked / {} sent)",
-            stats.mean_throughput_mbps(),
-            stats.acked,
-            stats.sent
+            s.mean_throughput_mbps(),
+            s.acked,
+            s.sent
         );
         println!(
-            "delay      : mean {:.1} ms, p95 {:.1} ms",
-            stats.mean_delay_ms(),
-            stats.delay_summary().map_or(0.0, |s| s.p95)
+            "delay      : mean {:.1} ms, std {:.1} ms, max {:.1} ms",
+            s.mean_delay_ms(),
+            s.delay_ms.std_dev(),
+            s.delay_ms.max().unwrap_or(0.0)
         );
-        println!(
-            "losses     : {} fast, {} timeouts",
-            stats.fast_losses, stats.timeouts
-        );
+        println!("losses     : {} fast, {} timeouts", s.fast_losses, s.timeouts);
     }
 }

@@ -5,11 +5,13 @@
 //! `tc`-controlled dumbbell. Commercial cellular networks are not
 //! available to this reproduction, so the live setup is replaced by:
 //!
-//! * [`sender`] — a wall-clock driven UDP sender that runs any
-//!   [`CongestionControl`](verus_nettypes::CongestionControl)
-//!   implementation (Verus with its 5 ms epochs, or the baselines) with
-//!   the same loss-detection machinery as the simulator: the §5.2
-//!   3×delay reordering timer and an RFC 6298 RTO;
+//! * [`shard_server`] — the one sender engine: [`ShardServer`] runs
+//!   any [`CongestionControl`](verus_nettypes::CongestionControl)
+//!   implementation (Verus with its 5 ms epochs, or the baselines) for
+//!   one flow or thousands, with the simulator's loss-detection
+//!   machinery (the §5.2 3×delay reordering timer and an RFC 6298 RTO)
+//!   and a supervised session per flow; each flow's result is a
+//!   [`SessionReport`];
 //! * [`receiver`] — the UDP sink: timestamps every data packet and
 //!   returns an ACK echoing the packet's send time and sending window
 //!   (one thread, like the prototype's receiver app);
@@ -23,30 +25,25 @@
 //!
 //! Everything runs on plain `std::net::UdpSocket` + threads — the same
 //! architecture as the paper's librt-based prototype; an async runtime
-//! would add machinery without adding fidelity for a handful of sockets.
+//! would add machinery without adding fidelity.
 //!
-//! On top of the plain sender, the resilience layer (DESIGN.md §12)
-//! supervises a connection lifecycle:
+//! The server is built from these parts (DESIGN.md §12, §15):
 //!
 //! * [`session`] — the pure state machine (`Connecting → Established →
 //!   Degraded → Reconnecting → Draining → Closed`) with capped,
-//!   deterministically jittered reconnect backoff;
-//! * [`supervisor`] — drives the sender loop through that machine:
-//!   probes on the backoff schedule while disconnected, warm-restarts
-//!   the congestion controller on resumption, and sheds overload into
-//!   the `shed_dropped` ledger column.
-//!
-//! The scale-out plane (DESIGN.md §15) replaces thread-pairs-per-socket
-//! with thread-per-core sharding for crowds of flows:
-//!
+//!   deterministically jittered reconnect backoff. The server probes on
+//!   the backoff schedule while disconnected, warm-restarts the
+//!   congestion controller on resumption, and sheds overload into the
+//!   `shed_dropped` ledger column;
 //! * [`io_batch`] — `sendmmsg`/`recvmmsg` syscall batching behind the
 //!   [`IoBatcher`] trait, with a portable per-packet fallback;
 //! * [`timer_plane`] — per-shard RTO/epoch timers on the netsim
 //!   hierarchical timing wheel (no per-flow sleep loops);
-//! * [`shard_server`] — the thread-per-core server itself: each shard
-//!   exclusively owns `flow % shards == shard` flows, drives their
-//!   sessions/CC through one batched socket, and publishes lock-free
-//!   cache-padded stats snapshots.
+//! * [`stats`] — the per-flow [`TransferStats`] and [`SessionReport`].
+//!
+//! Each shard thread exclusively owns `flow % shards == shard` flows,
+//! drives their sessions/CC through one batched socket, and publishes
+//! lock-free cache-padded stats snapshots.
 
 // `deny` rather than `forbid`: the one `#[allow(unsafe_code)]` in the
 // tree is io_batch's cfg-gated mmsg FFI module (see its safety notes).
@@ -57,18 +54,15 @@ pub mod clock;
 pub mod emulator;
 pub mod io_batch;
 pub mod receiver;
-pub mod sender;
 pub mod session;
 pub mod shard_server;
 pub mod stats;
-pub mod supervisor;
 pub mod timer_plane;
 
 pub use clock::WallClock;
 pub use emulator::{Emulator, EmulatorConfig, EmulatorHandle};
 pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutPacket};
 pub use receiver::{Receiver, ReceiverHandle};
-pub use sender::{SenderConfig, UdpSender};
 pub use session::{BackoffSchedule, Session, SessionConfig, Transition};
 pub use shard_server::{
     FlowSpec, LoadReport, ShardServer, ShardServerConfig, ShardSnapshot,
@@ -77,5 +71,4 @@ pub use timer_plane::{TimerKind, TimerPlane};
 // The state enum lives in `verus-trace` (session records embed it);
 // re-exported here because `Transition` is spelled in terms of it.
 pub use verus_trace::SessionState;
-pub use stats::TransferStats;
-pub use supervisor::{SessionReport, SupervisedSender, SupervisorConfig};
+pub use stats::{SessionReport, TransferStats};

@@ -1,11 +1,11 @@
-//! Thread-per-core sharded UDP server for crowds of Verus flows.
+//! The transport's one sender engine: a thread-per-core UDP server
+//! that runs any number of flows, from one `verus-send` transfer to a
+//! load test of thousands.
 //!
-//! The per-socket transport ([`supervisor`](crate::supervisor)) spends
-//! two threads and two blocking sockets per flow — faithful to the
-//! paper's prototype, hopeless for load testing it. This module keeps
-//! the *protocol machinery* of the supervisor (session lifecycle,
+//! The paper's prototype (§5) spends a sender thread and a socket per
+//! flow. This module keeps its protocol machinery (session lifecycle,
 //! RTO + reordering-gap loss detection, CC warm restart on resumption)
-//! and replaces the *execution model*:
+//! and replaces the execution model:
 //!
 //! * **Sharding** — flow specs are partitioned `spec index % shards`,
 //!   the same round-robin rule as the netsim multi-core engine
@@ -14,7 +14,9 @@
 //! * **One socket per shard** — all of a shard's flows multiplex one
 //!   UDP socket driven through [`IoBatcher`](crate::io_batch::IoBatcher)
 //!   (`sendmmsg`/`recvmmsg` on Linux, per-packet elsewhere), so the
-//!   syscall count scales with *batches*, not packets.
+//!   syscall count scales with *batches*, not packets. The socket binds
+//!   to loopback when every destination is loopback, else to the
+//!   unspecified address of the destinations' family.
 //! * **One timer plane per shard** — RTO and epoch deadlines for every
 //!   flow live on a single netsim timing wheel
 //!   ([`TimerPlane`](crate::timer_plane::TimerPlane)); the shard loop
@@ -22,23 +24,31 @@
 //! * **Lock-free stats** — each shard owns a cache-padded
 //!   [`ShardCounters`] slab in a shared [`StatsPlane`]; writers bump
 //!   relaxed atomics, readers take coherent-enough snapshots without
-//!   ever touching a mutex on the hot path.
+//!   ever touching a mutex on the hot path. Each flow's own result
+//!   ([`SessionReport`]) is returned in [`LoadReport::flows`].
 //! * **Mailbox control plane** — the coordinator talks to shards
 //!   through a two-word atomic [`ShardMailbox`] (`Drain`, `Abort`),
 //!   a seqlock-style publish protocol small enough to model-check.
 //!
-//! ## Protocol fidelity and the deterministic ledger
+//! ## Protocol and the deterministic ledger
 //!
-//! Loss detection matches the supervisor: ACKs above an outstanding
-//! packet arm the §5.2 reordering gap timer (`gap_factor × srtt`);
-//! gap expiry raises `FastRetransmit`, RTO expiry clears the in-flight
-//! table and raises `Timeout` with exponential RTO backoff. One
-//! deliberate divergence: reconnect **probes retransmit the lowest
-//! unfinished sequence** instead of consuming a fresh one. That keeps
-//! the sequence space exactly `0..packets` per flow, which is what
-//! makes the load-test ledger exact: `offered = Σ packets`, and after
-//! retransmitting to quiescence `offered − acked − shed == 0` with no
-//! slack term for probe traffic.
+//! ACKs above an outstanding packet arm the §5.2 reordering gap timer
+//! (`gap_factor × srtt`); gap expiry raises `FastRetransmit`, RTO
+//! expiry clears the in-flight table and raises `Timeout` with
+//! exponential RTO backoff. Each epoch fire pumps fresh packets up to
+//! the controller's quota and retransmits sequences that were sent but
+//! are neither finished nor in flight. Reconnect **probes retransmit
+//! the lowest unfinished sequence** instead of consuming a fresh one.
+//! That keeps the sequence space exactly `0..packets` per flow, which
+//! is what makes the load-test ledger exact: `offered = Σ packets`,
+//! and after retransmitting to quiescence `offered − acked − shed == 0`
+//! with no slack term for probe traffic.
+//!
+//! A **stream** is a flow whose budget the deadline cuts short
+//! (`packets: u64::MAX` for "until the deadline"). Its sequence bitmaps
+//! grow as sequences are first sent, so an unreachable budget costs
+//! nothing, and once it is draining it closes as soon as its in-flight
+//! table is empty. It still counts as `stuck`.
 //!
 //! Trace attribution uses the `verus-trace` lane mechanism: the shard
 //! sets the flow's lane around every CC callback, so per-flow records
@@ -48,7 +58,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -66,6 +76,7 @@ use verus_trace::lane;
 use crate::clock::WallClock;
 use crate::io_batch::{batcher_for, IoCounters, IoMode, OutPacket, BATCH};
 use crate::session::{Session, SessionConfig, Transition};
+use crate::stats::{SessionReport, TransferStats};
 use crate::timer_plane::{merged_jitter_p99_ms, TimerKind, TimerPlane};
 use crate::SessionState;
 
@@ -317,7 +328,7 @@ pub struct ShardServerConfig {
     pub session: SessionConfig,
     /// Overload shedding: with `Some(cap)`, fresh packets demanded while
     /// `cap` or more are already in flight are shed (counted, never
-    /// sent) — the supervisor's `shed_dropped` ledger column.
+    /// sent) — the per-flow `shed_dropped` ledger column.
     pub shed_outstanding_cap: Option<usize>,
     /// Graceful deadline: the coordinator posts `Drain` this long after
     /// start, and `Abort` a drain-timeout (plus slack) later.
@@ -346,6 +357,20 @@ impl Default for ShardServerConfig {
     }
 }
 
+impl ShardServerConfig {
+    /// One flow of 1400-byte packets (the paper's size) until
+    /// `deadline`: one shard, no epoch stagger, defaults otherwise.
+    #[must_use]
+    pub fn one_flow(deadline: SimDuration) -> Self {
+        Self {
+            packet_bytes: 1400,
+            stagger: SimDuration::ZERO,
+            deadline,
+            ..Self::default()
+        }
+    }
+}
+
 /// One flow to run: identity, peer, workload, controller.
 pub struct FlowSpec {
     /// Wire flow id (carried in every packet header).
@@ -353,9 +378,24 @@ pub struct FlowSpec {
     /// Where this flow's data packets go (its receiver or emulator).
     pub dest: SocketAddr,
     /// Packet budget: sequences `0..packets` are offered exactly once.
+    /// A budget the deadline cuts short makes the flow a stream (see
+    /// the module docs); `u64::MAX` means "until the deadline".
     pub packets: u64,
     /// The congestion controller driving the flow.
     pub cc: Box<dyn CongestionControl>,
+}
+
+impl FlowSpec {
+    /// Flow 1 to `dest`, sending until the deadline.
+    #[must_use]
+    pub fn stream(dest: SocketAddr, cc: Box<dyn CongestionControl>) -> Self {
+        Self {
+            flow: 1,
+            dest,
+            packets: u64::MAX,
+            cc,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -388,15 +428,17 @@ pub struct LoadReport {
     pub shards: Vec<ShardSnapshot>,
     /// Per-shard epoch-fire lateness distributions, in shard order.
     pub jitters: Vec<StreamingStats>,
+    /// Per-flow results, in [`FlowSpec`] input order.
+    pub flows: Vec<SessionReport>,
     /// Wall time from `run` start to the last shard's exit.
     pub wall: SimDuration,
 }
 
 impl LoadReport {
-    /// Σ packet budgets across all flows.
+    /// Σ packet budgets across all flows (saturating at `u64::MAX`).
     #[must_use]
     pub fn offered(&self) -> u64 {
-        self.shards.iter().map(|s| s.offered).sum()
+        self.shards.iter().map(|s| s.offered).fold(0, u64::saturating_add)
     }
 
     /// Unique sequences acknowledged.
@@ -494,9 +536,13 @@ struct FlowState {
     epoch: SimDuration,
     has_tick: bool,
     outstanding: OutstandingTable<Pending>,
-    /// Bitmaps over `0..target`: ever-sent and finished (acked or shed).
+    /// Bitmaps over the sequences sent so far: ever-sent and finished
+    /// (acked or shed). They grow as sequences are first sent; a bit
+    /// past the end is clear.
     sent_bits: Vec<u64>,
     done_bits: Vec<u64>,
+    /// Every word of `done_bits` below this one is full.
+    done_floor: usize,
     next_fresh: u64,
     done_count: u64,
     /// Current RTO deadline; restamped on sends/ACKs, `None` when the
@@ -507,36 +553,99 @@ struct FlowState {
     rto_armed: bool,
     rto_retries: u32,
     closed_noted: bool,
+    stats: TransferStats,
+    transitions: Vec<Transition>,
+}
+
+impl FlowState {
+    /// Records a session edge; a genuine resumption warm-restarts the
+    /// controller.
+    fn note(&mut self, tr: Transition) {
+        if tr.from == SessionState::Reconnecting && tr.to == SessionState::Established {
+            self.cc.on_session_resumed(tr.at);
+        }
+        self.transitions.push(tr);
+    }
+
+    /// Moves the first full words of `done_bits` under the floor.
+    fn raise_done_floor(&mut self) {
+        while self.done_bits.get(self.done_floor) == Some(&u64::MAX) {
+            self.done_floor += 1;
+        }
+    }
+
+    /// The flow's result; `start` is the run's start and `exit` the
+    /// shard's exit, the end of a flow that never closed.
+    fn into_report(self, start: SimTime, exit: SimTime) -> SessionReport {
+        let end = match self.transitions.last() {
+            Some(tr) if tr.to == SessionState::Closed => tr.at,
+            _ => exit,
+        };
+        let mut stats = self.stats;
+        stats.duration_secs = end.saturating_since(start).as_secs_f64();
+        let mut transitions = self.transitions;
+        transitions.shrink_to_fit();
+        SessionReport {
+            stats,
+            final_state: self.session.state(),
+            probes_sent: self.session.total_retries(),
+            transitions,
+        }
+    }
 }
 
 fn word_index(seq: u64) -> usize {
     usize::try_from(seq / 64).unwrap_or(usize::MAX)
 }
 
-/// Sets `seq`'s bit; returns whether it was newly set.
-fn bit_set(bits: &mut [u64], seq: u64) -> bool {
+/// Sets `seq`'s bit, growing the bitmap to reach it; returns whether
+/// it was newly set.
+fn bit_set(bits: &mut Vec<u64>, seq: u64) -> bool {
     let w = word_index(seq);
+    if w >= bits.len() {
+        bits.resize(w + 1, 0);
+    }
     let mask = 1u64 << (seq % 64);
     let newly = bits[w] & mask == 0;
     bits[w] |= mask;
     newly
 }
 
-#[cfg(test)]
+/// Whether `seq`'s bit is set (bits past the end are clear).
 fn bit_get(bits: &[u64], seq: u64) -> bool {
-    bits[word_index(seq)] & (1u64 << (seq % 64)) != 0
+    bits.get(word_index(seq))
+        .is_some_and(|w| w & (1u64 << (seq % 64)) != 0)
 }
 
-/// Lowest sequence below `target` whose bit is clear.
-fn first_undone(done: &[u64], target: u64) -> Option<u64> {
-    for (w, &word) in done.iter().enumerate() {
-        if word == u64::MAX {
-            continue;
-        }
-        let seq = (w as u64) * 64 + u64::from((!word).trailing_zeros());
-        return (seq < target).then_some(seq);
+/// Lowest sequence below `target` whose bit is clear, scanning from
+/// word `floor` (every word below it must be full).
+fn first_undone(done: &[u64], floor: usize, target: u64) -> Option<u64> {
+    let w = (floor..done.len())
+        .find(|&w| done[w] != u64::MAX)
+        .unwrap_or(done.len().max(floor));
+    let word = done.get(w).copied().unwrap_or(0);
+    let seq = (w as u64)
+        .saturating_mul(64)
+        .saturating_add(u64::from((!word).trailing_zeros()));
+    (seq < target).then_some(seq)
+}
+
+/// The address a shard socket binds: loopback when every destination
+/// is loopback, else the unspecified address, in the destinations'
+/// family (IPv6 if any destination is IPv6). Port 0: ephemeral.
+fn bind_addr(dests: impl IntoIterator<Item = SocketAddr>) -> SocketAddr {
+    let (mut v6, mut loopback) = (false, true);
+    for d in dests {
+        v6 |= d.is_ipv6();
+        loopback &= d.ip().is_loopback();
     }
-    None
+    let ip: IpAddr = match (v6, loopback) {
+        (false, true) => Ipv4Addr::LOCALHOST.into(),
+        (false, false) => Ipv4Addr::UNSPECIFIED.into(),
+        (true, true) => Ipv6Addr::LOCALHOST.into(),
+        (true, false) => Ipv6Addr::UNSPECIFIED.into(),
+    };
+    SocketAddr::new(ip, 0)
 }
 
 fn flow_index(j: usize) -> u32 {
@@ -551,13 +660,6 @@ fn quantize_up(t: SimTime) -> SimTime {
     SimTime::from_nanos(n.div_euclid(g).saturating_mul(g).saturating_add(if n % g == 0 { 0 } else { g }))
 }
 
-/// CC warm-restart hook: fires only on a genuine resumption.
-fn note_transition(cc: &mut dyn CongestionControl, tr: &Transition) {
-    if tr.from == SessionState::Reconnecting && tr.to == SessionState::Established {
-        cc.on_session_resumed(tr.at);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The shard itself
 // ---------------------------------------------------------------------
@@ -566,6 +668,8 @@ struct Shard<'a> {
     cfg: &'a ShardServerConfig,
     c: &'a ShardCounters,
     clock: WallClock,
+    /// The run's start: the origin of every flow's throughput series.
+    start: SimTime,
     flows: Vec<FlowState>,
     route: HashMap<u32, usize>,
     plane: TimerPlane,
@@ -595,6 +699,7 @@ impl Shard<'_> {
                 },
             );
             bit_set(&mut f.sent_bits, seq);
+            f.stats.sent += 1;
             lane::set(f.wire_flow);
             f.cc.on_packet_sent(now, seq, u64::from(self.cfg.packet_bytes));
             lane::clear();
@@ -654,10 +759,12 @@ impl Shard<'_> {
                     let seq = f.next_fresh;
                     f.next_fresh += 1;
                     bit_set(&mut f.sent_bits, seq);
+                    f.stats.sent += 1;
                     if bit_set(&mut f.done_bits, seq) {
                         // Only newly finished sequences enter the shed
                         // column — an already-ACKed probe stays `acked`.
                         f.done_count += 1;
+                        f.stats.shed_dropped += 1;
                         bump(&self.c.shed);
                     }
                     lane::set(f.wire_flow);
@@ -694,9 +801,10 @@ impl Shard<'_> {
     fn retransmit_sweep(&mut self, j: usize, now: SimTime) {
         let mut picks = Vec::new();
         {
-            let f = &self.flows[j];
-            'scan: for (w, &sent) in f.sent_bits.iter().enumerate() {
-                let mut cand = sent & !f.done_bits[w];
+            let f = &mut self.flows[j];
+            f.raise_done_floor();
+            'scan: for (w, &sent) in f.sent_bits.iter().enumerate().skip(f.done_floor) {
+                let mut cand = sent & !f.done_bits.get(w).copied().unwrap_or(0);
                 while cand != 0 {
                     let b = cand.trailing_zeros();
                     cand &= cand - 1;
@@ -720,18 +828,25 @@ impl Shard<'_> {
         }
     }
 
-    /// All-finished check: drains and closes a flow whose every
-    /// sequence is acked-or-shed, then records the closure.
+    /// Close check: drains and closes a flow whose every sequence is
+    /// acked-or-shed, closes a draining flow with nothing in flight,
+    /// then records the closure.
     fn finish(&mut self, j: usize, now: SimTime) {
         {
             let f = &mut self.flows[j];
-            if !f.closed_noted && f.done_count == f.target && !f.session.is_closed() {
+            if !f.closed_noted && !f.session.is_closed() {
                 lane::set(f.wire_flow);
-                if let Some(tr) = f.session.begin_drain(now) {
-                    note_transition(f.cc.as_mut(), &tr);
+                if f.done_count == f.target {
+                    if let Some(tr) = f.session.begin_drain(now) {
+                        f.note(tr);
+                    }
                 }
-                if let Some(tr) = f.session.drained(now) {
-                    note_transition(f.cc.as_mut(), &tr);
+                // A retransmitted copy of a finished sequence may still
+                // be in flight; a draining stream waits for nothing else.
+                if f.done_count == f.target || f.outstanding.is_empty() {
+                    if let Some(tr) = f.session.drained(now) {
+                        f.note(tr);
+                    }
                 }
                 lane::clear();
             }
@@ -764,7 +879,7 @@ impl Shard<'_> {
             let f = &mut self.flows[j];
             lane::set(f.wire_flow);
             while let Some(tr) = f.session.poll(now) {
-                note_transition(f.cc.as_mut(), &tr);
+                f.note(tr);
             }
             if !f.session.is_closed() {
                 // Owed CC ticks: one per epoch boundary in (at, now],
@@ -794,6 +909,7 @@ impl Shard<'_> {
                     .collect();
                 for (seq, send_window) in overdue {
                     f.outstanding.remove(seq);
+                    f.stats.fast_losses += 1;
                     bump(&self.c.fast_losses);
                     f.cc.on_loss(
                         now,
@@ -817,12 +933,12 @@ impl Shard<'_> {
         } else if !is_closed {
             // Disconnected: probe on the backoff schedule. The probe
             // retransmits the lowest unfinished sequence — never a
-            // fresh one — so the ledger's sequence space stays exact
-            // (deliberate divergence from the per-socket supervisor).
+            // fresh one — so the ledger's sequence space stays exact.
             let probe = {
                 let f = &mut self.flows[j];
                 if f.session.probe_due(now) {
-                    first_undone(&f.done_bits, f.target)
+                    f.raise_done_floor();
+                    first_undone(&f.done_bits, f.done_floor, f.target)
                 } else {
                     None
                 }
@@ -841,8 +957,8 @@ impl Shard<'_> {
     }
 
     /// One RTO fire: a stale or restamped deadline re-arms; a genuine
-    /// expiry clears the in-flight table (supervisor semantics — the
-    /// sweep retransmits the cleared range) and backs the RTO off.
+    /// expiry clears the in-flight table (the sweep retransmits the
+    /// cleared range) and backs the RTO off.
     fn rto_fire(&mut self, j: usize, now: SimTime) {
         {
             let f = &mut self.flows[j];
@@ -861,6 +977,7 @@ impl Shard<'_> {
                         .map(|(s, p)| (s, p.send_window))
                         .unwrap_or((0, 1.0));
                     f.outstanding.clear();
+                    f.stats.timeouts += 1;
                     bump(&self.c.timeouts);
                     f.rto_retries += 1;
                     lane::set(f.wire_flow);
@@ -882,36 +999,46 @@ impl Shard<'_> {
         self.arm_rto(j);
     }
 
-    /// One inbound datagram: decode, route, and apply supervisor ACK
-    /// semantics (RTT sample always; CC events only for in-flight
-    /// sequences; gap timers armed below the ACK frontier).
+    /// One inbound datagram: decode, route, and apply the ACK rules
+    /// (RTT sample always; CC events only for in-flight sequences; gap
+    /// timers armed below the ACK frontier). ACKs for sequences this
+    /// flow never sent are ignored.
     fn handle_ack(&mut self, buf: &[u8], now: SimTime) {
         let Ok(ack) = AckPacket::decode(buf) else { return };
         let Some(&j) = self.route.get(&ack.flow) else { return };
+        let bytes = u64::from(self.cfg.packet_bytes);
         let finished = {
             let f = &mut self.flows[j];
-            if f.closed_noted || ack.seq >= f.target {
+            if f.closed_noted || ack.seq >= f.target || !bit_get(&f.sent_bits, ack.seq) {
                 return;
             }
             lane::set(f.wire_flow);
             if let Some(tr) = f.session.on_ack(now) {
-                note_transition(f.cc.as_mut(), &tr);
+                f.note(tr);
             }
             let sample = now.saturating_since(SimTime::from_micros(ack.echo_send_time_us));
             f.rtt.on_sample(sample);
-            if let Some(_pending) = f.outstanding.remove(ack.seq) {
+            let one_way = SimTime::from_micros(ack.recv_time_us)
+                .saturating_since(SimTime::from_micros(ack.echo_send_time_us));
+            // A late ACK for an RTO-cleared packet still finishes the
+            // sequence (ledger, per-flow stats) but feeds no CC event.
+            let in_flight = f.outstanding.remove(ack.seq).is_some();
+            if bit_set(&mut f.done_bits, ack.seq) {
+                f.done_count += 1;
+                f.stats.acked += 1;
+                f.stats.delay_ms.push(one_way.as_millis_f64());
+                f.stats
+                    .throughput
+                    .record(now.saturating_since(self.start).as_secs_f64(), bytes);
+                bump(&self.c.acked);
+            }
+            if in_flight {
                 f.rto_retries = 0;
-                if bit_set(&mut f.done_bits, ack.seq) {
-                    f.done_count += 1;
-                    bump(&self.c.acked);
-                }
-                let one_way = SimTime::from_micros(ack.recv_time_us)
-                    .saturating_since(SimTime::from_micros(ack.echo_send_time_us));
                 f.cc.on_ack(
                     now,
                     &AckEvent {
                         seq: ack.seq,
-                        bytes: u64::from(self.cfg.packet_bytes),
+                        bytes,
                         rtt: sample,
                         delay: one_way,
                         send_window: ack.send_window,
@@ -933,12 +1060,6 @@ impl Shard<'_> {
                         }
                     }
                 }
-            } else if bit_set(&mut f.done_bits, ack.seq) {
-                // Late ACK for an RTO-cleared packet: it still finishes
-                // the sequence (ledger), but feeds no CC event — the
-                // supervisor's stale-ACK rule.
-                f.done_count += 1;
-                bump(&self.c.acked);
             }
             lane::clear();
             f.done_count == f.target
@@ -960,7 +1081,7 @@ impl Shard<'_> {
                 }
                 lane::set(f.wire_flow);
                 if let Some(tr) = f.session.begin_drain(now) {
-                    note_transition(f.cc.as_mut(), &tr);
+                    f.note(tr);
                 }
                 lane::clear();
             }
@@ -977,7 +1098,7 @@ impl Shard<'_> {
                     continue;
                 }
                 if let Some(tr) = f.session.abort(now) {
-                    note_transition(f.cc.as_mut(), &tr);
+                    f.note(tr);
                 }
             }
             self.note_if_closed(j);
@@ -1004,6 +1125,8 @@ struct ShardOutcome {
     jitter: StreamingStats,
     timer_fires: u64,
     epoch_fires: u64,
+    /// Per-flow results, in the shard's own flow order.
+    flows: Vec<SessionReport>,
 }
 
 /// Publishes the shard's counters on every exit path — including an
@@ -1025,12 +1148,13 @@ fn run_worker(input: WorkerInput) -> io::Result<ShardOutcome> {
 
 fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome> {
     let cfg = Arc::clone(&input.cfg);
-    let socket = UdpSocket::bind(("127.0.0.1", 0))?;
+    let socket = UdpSocket::bind(bind_addr(input.specs.iter().map(|s| s.dest)))?;
     let mut io = batcher_for(socket, cfg.io_mode)?;
     let mut shard = Shard {
         cfg: &cfg,
         c,
         clock: input.clock,
+        start: input.start,
         flows: Vec::with_capacity(input.specs.len()),
         route: HashMap::with_capacity(input.specs.len()),
         plane: TimerPlane::new(),
@@ -1041,11 +1165,9 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
     for (j, spec) in input.specs.into_iter().enumerate() {
         let mut scfg = cfg.session;
         scfg.session_id = u64::from(spec.flow);
-        let words = usize::try_from(spec.packets / 64 + 1).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidInput, "flow packet budget too large")
-        })?;
         let epoch = spec.cc.tick_interval().unwrap_or(cfg.epoch);
         let has_tick = spec.cc.tick_interval().is_some();
+        let protocol = spec.cc.name();
         shard.route.insert(spec.flow, j);
         shard.flows.push(FlowState {
             wire_flow: spec.flow,
@@ -1057,14 +1179,17 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
             epoch,
             has_tick,
             outstanding: OutstandingTable::new(),
-            sent_bits: vec![0; words],
-            done_bits: vec![0; words],
+            sent_bits: Vec::new(),
+            done_bits: Vec::new(),
+            done_floor: 0,
             next_fresh: 0,
             done_count: 0,
             rto_deadline: None,
             rto_armed: false,
             rto_retries: 0,
             closed_noted: false,
+            stats: TransferStats::new(protocol),
+            transitions: Vec::new(),
         });
         let offset_ns = stagger.next_u64() % cfg.stagger.as_nanos().max(1);
         shard.plane.arm(
@@ -1091,6 +1216,12 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
                 TimerKind::Epoch { .. } => shard.epoch_fire(j, at, now),
                 TimerKind::Rto { .. } => shard.rto_fire(j, now),
             }
+            // A burst of fires (a crowd's epochs) would otherwise queue
+            // thousands of datagrams at once; each full batch leaves
+            // as soon as it fills.
+            if shard.out.len() >= BATCH {
+                io.send_batch(&mut shard.out)?;
+            }
         }
         let recv_now = shard.clock.now();
         let mut backlog = false;
@@ -1103,12 +1234,12 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
             // and skip the pacing sleep this iteration.
             backlog = true;
         }
-        // Full batches go out eagerly; a partial tail stays queued to
-        // coalesce with the next iteration's timer fires — that tail is
-        // flushed below before any sleep, so no datagram ever waits on
-        // the pacing clock. This is what amortizes sendmmsg: packets
-        // accumulate across fires instead of leaving one tiny batch per
-        // loop spin.
+        // Full batches go out eagerly (also between timer fires above);
+        // a partial tail stays queued to coalesce with the next
+        // iteration's timer fires — that tail is flushed below before
+        // any sleep, so no datagram ever waits on the pacing clock. This
+        // is what amortizes sendmmsg: packets accumulate across fires
+        // instead of leaving one tiny batch per loop spin.
         if shard.out.len() >= BATCH {
             io.send_batch(&mut shard.out)?;
         }
@@ -1133,11 +1264,17 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
             thread::sleep(sleep);
         }
     }
+    let exit = shard.clock.now();
     Ok(ShardOutcome {
         io: io.counters(),
         jitter: shard.plane.jitter().clone(),
         timer_fires: shard.plane.fires(),
         epoch_fires: shard.plane.epoch_fires(),
+        flows: shard
+            .flows
+            .into_iter()
+            .map(|f| f.into_report(input.start, exit))
+            .collect(),
     })
 }
 
@@ -1189,7 +1326,8 @@ impl ShardServer {
         }
         let offered: Vec<u64> = parts
             .iter()
-            .map(|p| p.iter().map(|s| s.packets).sum())
+            // Saturating: a stream offers `u64::MAX`.
+            .map(|p| p.iter().map(|s| s.packets).fold(0, u64::saturating_add))
             .collect();
         let flows_per: Vec<usize> = parts.iter().map(Vec::len).collect();
         let stats = Arc::new(StatsPlane::new(shards));
@@ -1241,6 +1379,7 @@ impl ShardServer {
         }
         let mut snapshots = Vec::with_capacity(shards);
         let mut jitters = Vec::with_capacity(shards);
+        let mut per_shard = Vec::with_capacity(shards);
         for (i, handle) in handles.into_iter().enumerate() {
             let outcome = handle
                 .join()
@@ -1255,10 +1394,17 @@ impl ShardServer {
                 epoch_fires: outcome.epoch_fires,
             });
             jitters.push(outcome.jitter);
+            per_shard.push(outcome.flows.into_iter());
         }
+        // Spec `i` ran as shard `i % shards`'s flow `i / shards`. A load
+        // test keeps its reports, so they are sized exactly.
+        let total: usize = flows_per.iter().sum();
+        let mut flows = Vec::with_capacity(total);
+        flows.extend((0..total).filter_map(|i| per_shard[i % shards].next()));
         Ok(LoadReport {
             shards: snapshots,
             jitters,
+            flows,
             wall: clock.now().saturating_since(start),
         })
     }
@@ -1328,22 +1474,49 @@ mod tests {
 
     #[test]
     fn bitmap_helpers_track_the_sequence_space() {
-        let mut bits = vec![0u64; 3];
+        let mut bits = Vec::new();
         assert!(bit_set(&mut bits, 0), "first set is new");
         assert!(!bit_set(&mut bits, 0), "second set is not");
+        assert_eq!(bits.len(), 1);
         assert!(bit_set(&mut bits, 65));
+        assert_eq!(bits.len(), 2, "the bitmap grows to reach a bit");
         assert!(bit_get(&bits, 0));
         assert!(bit_get(&bits, 65));
         assert!(!bit_get(&bits, 64));
-        assert_eq!(first_undone(&bits, 100), Some(1));
+        assert!(!bit_get(&bits, 1 << 40), "past the end is clear");
+        assert_eq!(first_undone(&bits, 0, 100), Some(1));
         // Fill the first word; the scan jumps to the second.
         for s in 0..64 {
             bit_set(&mut bits, s);
         }
-        assert_eq!(first_undone(&bits, 100), Some(64));
+        assert_eq!(first_undone(&bits, 0, 100), Some(64));
+        assert_eq!(first_undone(&bits, 1, 100), Some(64), "floor skips full words");
         let full = vec![u64::MAX; 2];
-        assert_eq!(first_undone(&full, 128), None);
-        assert_eq!(first_undone(&full, 1000), None, "target beyond the bitmap");
+        assert_eq!(first_undone(&full, 0, 128), None);
+        assert_eq!(first_undone(&full, 2, 128), None);
+        assert_eq!(
+            first_undone(&full, 0, 1000),
+            Some(128),
+            "nothing past the bitmap is finished yet"
+        );
+        assert_eq!(first_undone(&[], 0, u64::MAX), Some(0));
+    }
+
+    #[test]
+    fn bind_address_follows_the_destinations() {
+        let a = |s: &str| s.parse::<SocketAddr>().expect("address");
+        for (dests, want) in [
+            (&[][..], "127.0.0.1:0"),
+            (&["127.0.0.1:9000", "127.0.0.2:9001"][..], "127.0.0.1:0"),
+            (&["[::1]:9000"][..], "[::1]:0"),
+            (&["10.0.0.7:9000"][..], "0.0.0.0:0"),
+            (&["[2001:db8::7]:9000"][..], "[::]:0"),
+            // One remote destination unbinds the whole shard.
+            (&["127.0.0.1:9000", "192.0.2.1:9000"][..], "0.0.0.0:0"),
+            (&["[::1]:9000", "[2001:db8::7]:9000"][..], "[::]:0"),
+        ] {
+            assert_eq!(bind_addr(dests.iter().map(|d| a(d))), a(want), "{dests:?}");
+        }
     }
 
     #[test]
@@ -1380,6 +1553,7 @@ mod tests {
         LoadReport {
             shards: vec![snap(0, 100, 90, 10, 0), snap(1, 100, 95, 0, 1)],
             jitters: Vec::new(),
+            flows: Vec::new(),
             wall: SimDuration::from_secs(1),
         }
     }
@@ -1434,5 +1608,167 @@ mod tests {
         assert_eq!(r.residual(), 0);
         assert_eq!(r.closed(), 0);
         assert_eq!(r.shards.len(), 2);
+    }
+
+    // -----------------------------------------------------------------
+    // Runs against a live receiver
+    // -----------------------------------------------------------------
+
+    use crate::receiver::Receiver;
+    use verus_nettypes::FixedWindow;
+
+    /// One shard with short session deadlines, stopping at `deadline_ms`.
+    fn quick(deadline_ms: u64) -> ShardServerConfig {
+        ShardServerConfig {
+            session: SessionConfig {
+                idle_degraded: SimDuration::from_millis(150),
+                degraded_grace: SimDuration::from_millis(100),
+                drain_timeout: SimDuration::from_millis(500),
+                backoff_base: SimDuration::from_millis(20),
+                backoff_cap: SimDuration::from_millis(200),
+                seed: 11,
+                session_id: 1,
+            },
+            ..ShardServerConfig::one_flow(SimDuration::from_millis(deadline_ms))
+        }
+    }
+
+    /// Runs streams of `FixedWindow(window)` to `dest` with flow ids
+    /// `flows` under `cfg`.
+    fn streams(cfg: ShardServerConfig, dest: SocketAddr, flows: &[u32], window: usize) -> LoadReport {
+        let specs = flows
+            .iter()
+            .map(|&flow| FlowSpec {
+                flow,
+                ..FlowSpec::stream(dest, Box::new(FixedWindow::new(window)))
+            })
+            .collect();
+        let report = ShardServer::new(cfg).run(specs, WallClock::new()).expect("runs");
+        assert_eq!(report.flows.len(), flows.len());
+        report
+    }
+
+    #[test]
+    fn one_flow_establishes_transfers_and_drains() {
+        let rx = Receiver::spawn("127.0.0.1:0", WallClock::new()).unwrap();
+        let report = streams(quick(400), rx.local_addr(), &[1], 4).flows.remove(0);
+        rx.stop();
+
+        assert_eq!(report.final_state, SessionState::Closed);
+        assert!(report.reached_established(), "never connected");
+        assert!(report.stats.acked > 0, "no data acknowledged");
+        assert_eq!(report.stats.shed_dropped, 0, "no cap configured");
+        let recoveries = report.recovery_times();
+        assert_eq!(recoveries.len(), 1, "exactly the initial connect");
+        // First transition must be Connecting -> Established.
+        assert_eq!(report.transitions[0].from, SessionState::Connecting);
+        assert_eq!(report.transitions[0].to, SessionState::Established);
+        // Goodput and delay are credited once per finished sequence.
+        assert_eq!(report.stats.throughput.total_bytes(), report.stats.acked * 1400);
+        assert_eq!(report.stats.delay_ms.count(), report.stats.acked);
+    }
+
+    #[test]
+    fn dead_peer_degrades_and_probes_at_backoff() {
+        // Bind a socket that never answers: the session must degrade,
+        // reconnect-probe, and still close by the drain deadline.
+        let dead = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let report = streams(quick(600), dead.local_addr().unwrap(), &[1], 2).flows.remove(0);
+
+        assert_eq!(report.final_state, SessionState::Closed, "flow got stuck");
+        assert!(!report.reached_established());
+        assert!(
+            report.probes_sent >= 2,
+            "only {} probes against a dead peer",
+            report.probes_sent
+        );
+        // Against a dead peer nothing is ever acked.
+        assert_eq!(report.stats.acked, 0);
+    }
+
+    #[test]
+    fn shed_cap_counts_refused_quota() {
+        let rx = Receiver::spawn("127.0.0.1:0", WallClock::new()).unwrap();
+        // Cap 0: the guard refuses every data-path quota grant, so the
+        // only wire traffic is session probes — fully deterministic, no
+        // race against how fast loopback ACKs drain `outstanding`.
+        let cfg = ShardServerConfig {
+            shed_outstanding_cap: Some(0),
+            ..quick(300)
+        };
+        let report = streams(cfg, rx.local_addr(), &[1], 8).flows.remove(0);
+        rx.stop();
+        assert!(report.reached_established(), "probe never connected");
+        assert!(
+            report.stats.shed_dropped > 0,
+            "cap 0 under window 8 never shed"
+        );
+        // Sequence-number conservation: everything sent is either real
+        // or shed, and acked packets were real.
+        assert!(report.stats.acked <= report.stats.sent - report.stats.shed_dropped);
+    }
+
+    #[test]
+    fn a_stream_closes_when_its_drain_empties() {
+        // A 2 s drain timeout, but nothing stays in flight on loopback:
+        // the stream closes right after the 500 ms deadline instead of
+        // sitting in Draining until the timeout.
+        let rx = Receiver::spawn("127.0.0.1:0", WallClock::new()).unwrap();
+        let cfg = ShardServerConfig::one_flow(SimDuration::from_millis(500));
+        assert_eq!(cfg.session.drain_timeout, SimDuration::from_secs(2));
+        let report = streams(cfg, rx.local_addr(), &[1], 4);
+        rx.stop();
+        assert!(
+            report.wall < SimDuration::from_millis(1500),
+            "the stream sat in Draining: wall {} ms",
+            report.wall.as_millis_f64()
+        );
+        let flow = &report.flows[0];
+        let last = flow.transitions.last().expect("transitions");
+        assert_eq!((last.from, last.to), (SessionState::Draining, SessionState::Closed));
+        assert!(flow.stats.acked > 0);
+        assert!((0.5..1.5).contains(&flow.stats.duration_secs));
+        assert_eq!(report.stuck(), 1, "a stream cut by the deadline is stuck");
+    }
+
+    #[test]
+    fn unbounded_budgets_run_and_saturate_the_offer() {
+        // Two `u64::MAX` budgets: nothing is sized from the budget, and
+        // the offered total saturates instead of overflowing.
+        let rx = Receiver::spawn("127.0.0.1:0", WallClock::new()).unwrap();
+        let cfg = ShardServerConfig::one_flow(SimDuration::from_millis(300));
+        let report = streams(cfg, rx.local_addr(), &[1, 2], 4);
+        rx.stop();
+        assert_eq!(report.offered(), u64::MAX);
+        assert_eq!(report.closed(), 2);
+        for flow in &report.flows {
+            assert_eq!(flow.final_state, SessionState::Closed);
+            assert!(flow.stats.acked > 0);
+        }
+    }
+
+    #[test]
+    fn flow_reports_come_back_in_spec_order() {
+        // Five flows over two shards, each with its own budget: report
+        // `i` must be spec `i`'s, although shard 0 ran specs 0, 2, 4.
+        let rx = Receiver::spawn("127.0.0.1:0", WallClock::new()).unwrap();
+        let server = ShardServer::new(ShardServerConfig {
+            shards: 2,
+            ..ShardServerConfig::one_flow(SimDuration::from_secs(20))
+        });
+        let specs = (0..5u32)
+            .map(|i| FlowSpec {
+                flow: i,
+                dest: rx.local_addr(),
+                packets: 10 + u64::from(i),
+                cc: Box::new(FixedWindow::new(4)),
+            })
+            .collect();
+        let report = server.run(specs, WallClock::new()).expect("runs");
+        rx.stop();
+        assert_eq!(report.residual(), 0);
+        let acked: Vec<u64> = report.flows.iter().map(|f| f.stats.acked).collect();
+        assert_eq!(acked, [10, 11, 12, 13, 14]);
+        assert!(report.flows.iter().all(|f| f.stats.protocol == "fixed"));
     }
 }

@@ -1,43 +1,61 @@
-//! Transfer statistics for real-socket runs.
+//! Per-flow results of a transport run.
+//!
+//! Every record here is O(1) in the flow's packet count: counters, one
+//! throughput value per second and exact delay moments, never a
+//! per-packet `Vec` or a histogram — a load test keeps one per flow.
 
-use serde::{Deserialize, Serialize};
-use verus_stats::{StreamingStats, Summary, ThroughputSeries};
+use crate::session::Transition;
+use verus_nettypes::SimDuration;
+use verus_stats::{Running, ThroughputSeries};
+use verus_trace::SessionState;
 
-/// What a [`crate::UdpSender`] measured over one transfer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What one flow of a [`crate::ShardServer`] run measured.
+#[derive(Debug, Clone)]
 pub struct TransferStats {
-    /// Protocol name.
-    pub protocol: String,
-    /// Packets sent.
+    /// Protocol name (the controller's [`name`](verus_nettypes::CongestionControl::name)).
+    pub protocol: &'static str,
+    /// Packets sent: every data-packet transmission (fresh, retransmit
+    /// or probe) plus every shed sequence, which is counted as sent but
+    /// never transmitted.
     pub sent: u64,
-    /// Packets acknowledged.
+    /// Unique sequences acknowledged.
     pub acked: u64,
-    /// Losses declared by fast detection.
+    /// Losses declared by the §5.2 reordering gap timer.
     pub fast_losses: u64,
     /// Retransmission timeouts.
     pub timeouts: u64,
-    /// Packets the overload guard refused to put on the wire (sequence
-    /// numbers consumed, counted as sent, never transmitted — the
-    /// transport-side analogue of the simulator's `shed_dropped` ledger
-    /// column). Always 0 for the plain [`crate::UdpSender`]; only the
-    /// supervised sender sheds.
-    #[serde(default)]
+    /// Sequences the overload guard refused to put on the wire (counted
+    /// as sent, never transmitted — the transport-side analogue of the
+    /// simulator's `shed_dropped` ledger column).
     pub shed_dropped: u64,
-    /// Acknowledged throughput in 1-second windows (bytes credited at
-    /// ACK-arrival time).
+    /// Acknowledged throughput in 1-second windows, from the run's
+    /// start (bytes credited when an ACK first finishes a sequence).
     pub throughput: ThroughputSeries,
-    /// Per-packet one-way delays in ms (receiver timestamp − send
-    /// timestamp; exact when both ends share a [`crate::WallClock`]).
-    pub delays_ms: Vec<f64>,
-    /// Streaming delay statistics recorded alongside the raw samples
-    /// (O(1) mean/quantiles even for very long transfers).
-    #[serde(default = "StreamingStats::for_delays_ms")]
-    pub delay_stats: StreamingStats,
-    /// Wall-clock duration of the transfer, seconds.
+    /// Exact moments of the one-way delay (receiver timestamp − send
+    /// timestamp, exact when both ends share a [`crate::WallClock`]) of
+    /// every ACK that finished a sequence, ms.
+    pub delay_ms: Running,
+    /// Seconds from the run's start until the flow closed.
     pub duration_secs: f64,
 }
 
 impl TransferStats {
+    /// Empty stats for a flow driven by `protocol`.
+    #[must_use]
+    pub fn new(protocol: &'static str) -> Self {
+        Self {
+            protocol,
+            sent: 0,
+            acked: 0,
+            fast_losses: 0,
+            timeouts: 0,
+            shed_dropped: 0,
+            throughput: ThroughputSeries::new(1.0),
+            delay_ms: Running::new(),
+            duration_secs: 0.0,
+        }
+    }
+
     /// Mean acknowledged throughput in Mbit/s.
     #[must_use]
     pub fn mean_throughput_mbps(&self) -> f64 {
@@ -47,27 +65,55 @@ impl TransferStats {
         self.throughput.mean_bps(self.duration_secs) / 1e6
     }
 
-    /// Mean one-way delay, ms. O(1) via the running mean; hand-built
-    /// stats that only filled `delays_ms` fall back to averaging those.
+    /// Mean one-way delay, ms (0 before any ACK).
     #[must_use]
     pub fn mean_delay_ms(&self) -> f64 {
-        if self.delay_stats.count() > 0 {
-            return self.delay_stats.mean();
-        }
-        if self.delays_ms.is_empty() {
-            return 0.0;
-        }
-        self.delays_ms.iter().sum::<f64>() / self.delays_ms.len() as f64
+        self.delay_ms.mean()
+    }
+}
+
+/// One flow's result: transfer statistics plus the session history the
+/// recovery SLOs are computed from.
+#[derive(Debug, Clone)]
+pub struct SessionReport {
+    /// Packet-level statistics, including the shed count.
+    pub stats: TransferStats,
+    /// Every session-state edge taken, in order.
+    pub transitions: Vec<Transition>,
+    /// State at the flow's exit (`Closed` unless its shard failed).
+    pub final_state: SessionState,
+    /// Total connect/reconnect probes sent.
+    pub probes_sent: u64,
+}
+
+impl SessionReport {
+    /// Durations of every completed recovery (edges into `Established`
+    /// out of `Connecting`/`Reconnecting`) — the SLO numerators.
+    #[must_use]
+    pub fn recovery_times(&self) -> Vec<SimDuration> {
+        self.transitions
+            .iter()
+            .filter_map(|t| t.recovered_after)
+            .collect()
     }
 
-    /// Delay distribution summary (exact over the raw samples when
-    /// present, streaming estimate otherwise).
+    /// Whether the session ever reached `Established`.
     #[must_use]
-    pub fn delay_summary(&self) -> Option<Summary> {
-        if self.delays_ms.is_empty() {
-            return self.delay_stats.summary();
-        }
-        Summary::from_samples(&self.delays_ms)
+    pub fn reached_established(&self) -> bool {
+        self.transitions
+            .iter()
+            .any(|t| t.to == SessionState::Established)
+    }
+
+    /// How many separate disruptions ended in a successful reconnect
+    /// (recoveries out of `Reconnecting`, i.e. excluding the initial
+    /// connect).
+    #[must_use]
+    pub fn reconnects(&self) -> u64 {
+        self.transitions
+            .iter()
+            .filter(|t| t.from == SessionState::Reconnecting && t.to == SessionState::Established)
+            .count() as u64
     }
 }
 
@@ -77,39 +123,19 @@ mod tests {
 
     #[test]
     fn zero_duration_means_zero_rate() {
-        let s = TransferStats {
-            protocol: "t".into(),
-            sent: 0,
-            acked: 0,
-            fast_losses: 0,
-            timeouts: 0,
-            shed_dropped: 0,
-            throughput: ThroughputSeries::new(1.0),
-            delays_ms: vec![],
-            delay_stats: StreamingStats::for_delays_ms(),
-            duration_secs: 0.0,
-        };
+        let s = TransferStats::new("t");
         assert_eq!(s.mean_throughput_mbps(), 0.0);
         assert_eq!(s.mean_delay_ms(), 0.0);
-        assert!(s.delay_summary().is_none());
+        assert_eq!(s.delay_ms.count(), 0);
     }
 
     #[test]
     fn throughput_and_delay_computation() {
-        let mut tp = ThroughputSeries::new(1.0);
-        tp.record(0.2, 250_000); // 2 Mbit
-        let s = TransferStats {
-            protocol: "t".into(),
-            sent: 10,
-            acked: 9,
-            fast_losses: 1,
-            timeouts: 0,
-            shed_dropped: 0,
-            throughput: tp,
-            delays_ms: vec![10.0, 30.0],
-            delay_stats: StreamingStats::from_samples(&[10.0, 30.0]),
-            duration_secs: 2.0,
-        };
+        let mut s = TransferStats::new("t");
+        s.throughput.record(0.2, 250_000); // 2 Mbit
+        s.delay_ms.push(10.0);
+        s.delay_ms.push(30.0);
+        s.duration_secs = 2.0;
         assert!((s.mean_throughput_mbps() - 1.0).abs() < 1e-9);
         assert_eq!(s.mean_delay_ms(), 20.0);
     }

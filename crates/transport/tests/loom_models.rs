@@ -174,8 +174,8 @@ fn double_stop_is_idempotent_and_race_free() {
 
 #[test]
 fn reconnect_claim_is_exactly_once_under_racing_probers() {
-    // Session-layer reconnect shape (session.rs / supervisor.rs): the
-    // supervisor itself is single-threaded, but the *protocol* it
+    // Session-layer reconnect shape (session.rs / shard_server.rs): a
+    // shard itself is single-threaded, but the *protocol* it
     // embodies — at most one live reconnect attempt per disruption, and
     // none once the session is closed — is an atomic-claim handshake.
     // Model it directly: two probers race to claim the reconnect slot

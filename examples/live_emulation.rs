@@ -5,10 +5,11 @@
 //! cargo run --release -p verus-bench --example live_emulation
 //! ```
 //!
-//! Topology (one process, three threads):
+//! Topology (one process; the sender is the transport's `ShardServer`
+//! running one flow on one shard thread):
 //!
 //! ```text
-//! UdpSender (Verus, 5 ms wall-clock epochs)
+//! ShardServer shard (Verus, 5 ms wall-clock epochs)
 //!     │ UDP
 //!     ▼
 //! Emulator (releases bytes at the trace's delivery opportunities,
@@ -17,10 +18,12 @@
 //! Receiver (timestamps + ACKs every packet)
 //! ```
 
-use std::time::Duration;
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::{VerusCc, VerusConfig};
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
+use verus_nettypes::SimDuration;
+use verus_transport::{
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
+};
 
 fn main() -> std::io::Result<()> {
     let clock = WallClock::new();
@@ -29,7 +32,7 @@ fn main() -> std::io::Result<()> {
     let trace = Scenario::CityStationary
         .generate_trace(
             OperatorModel::Etisalat3G,
-            verus_nettypes::SimDuration::from_secs(15),
+            SimDuration::from_secs(15),
             21,
         )
         .expect("trace generation");
@@ -49,12 +52,13 @@ fn main() -> std::io::Result<()> {
     );
 
     // A 10-second Verus transfer through the emulator.
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(10)),
-        clock,
+    let server = ShardServer::new(ShardServerConfig::one_flow(SimDuration::from_secs(10)));
+    let flow = FlowSpec::stream(
+        emulator.ingress_addr(),
+        Box::new(VerusCc::new(VerusConfig::default())),
     );
     println!("running Verus (R = 2) for 10 s of wall-clock time…");
-    let stats = sender.run(Box::new(VerusCc::new(VerusConfig::default())))?;
+    let stats = server.run(vec![flow], clock)?.flows.remove(0).stats;
 
     println!();
     println!("results:");
@@ -65,9 +69,10 @@ fn main() -> std::io::Result<()> {
         stats.sent
     );
     println!(
-        "  delay      : mean {:.1} ms, p95 {:.1} ms (one-way, incl. 20 ms propagation)",
+        "  delay      : mean {:.1} ms, std {:.1} ms, max {:.1} ms (one-way, incl. 20 ms propagation)",
         stats.mean_delay_ms(),
-        stats.delay_summary().map_or(0.0, |s| s.p95)
+        stats.delay_ms.std_dev(),
+        stats.delay_ms.max().unwrap_or(0.0)
     );
     println!(
         "  losses     : {} fast-detected, {} timeouts, {} dropped at the emulator",

@@ -97,6 +97,25 @@ jq -e "$chaos_jq and (.smoke | not)" CHAOS_0.json > /dev/null \
   || { echo "committed CHAOS_0.json malformed or below the recovery SLOs"; exit 1; }
 rm -f "$chaos_out"
 
+# Sender smoke: `verus-send --json` against a live `verus-recv` on a
+# loopback port must print the flow's report as JSON with data
+# acknowledged. The receiver binds an ephemeral port and logs it.
+send_dir="$(mktemp -d /tmp/verus_send.XXXXXX)"
+cargo build --release -q -p verus-transport --bins
+target/release/verus-recv 127.0.0.1:0 --quiet 2> "$send_dir/recv.log" &
+recv_pid=$!
+for _ in $(seq 50); do
+  grep -q "listening on" "$send_dir/recv.log" && break
+  sleep 0.1
+done
+recv_addr="$(sed -n 's/^verus-recv listening on //p' "$send_dir/recv.log")"
+target/release/verus-send "$recv_addr" --secs 2 --json > "$send_dir/send.json" \
+  || { kill "$recv_pid"; echo "verus-send failed"; exit 1; }
+kill "$recv_pid"
+jq -e '.acked > 0' "$send_dir/send.json" > /dev/null \
+  || { echo "verus-send --json printed no acknowledged data:"; cat "$send_dir/send.json"; exit 1; }
+rm -rf "$send_dir"
+
 # Tournament smoke: the baseline tournament (every protocol × scenario,
 # scored against the omniscient bound) on its 3-scenario smoke grid.
 # Run twice to scratch paths — the artifact is hand-rolled fixed-

@@ -1,87 +1,32 @@
 //! Chaos soak tests: seeded adversarial schedules on both substrates,
 //! judged against the recovery SLOs of DESIGN.md §12.
 //!
-//! The fault-injection suite (`fault_injection.rs`) proves the *plain*
-//! sender survives impairments; this suite points the same chaos at the
+//! The fault-injection suite (`fault_injection.rs`) proves the sender
+//! survives impairments; this suite points the same chaos at the
 //! session layer and asserts the stronger resilience contract:
 //!
 //! * after every blackout window ends, the system recovers within
 //!   `2 × backoff_cap` (sim: first delivered throughput window;
 //!   transport: first `Established` transition);
 //! * zero stuck flows — the sim flow keeps delivering after the last
-//!   outage, the supervised session drains to `Closed`;
+//!   outage, the transport flow's session drains to `Closed`;
 //! * the conservation ledger balances exactly, including the overload
 //!   guard's `shed_dropped` column.
 //!
 //! `bench_chaos` runs the same judgements standalone and emits the
 //! committed `CHAOS_0.json`; these tests keep them in the tier-1 suite.
 
-use std::time::Duration;
-use verus_core::VerusCc;
-use verus_netsim::chaos::{ChaosSchedule, ChaosScript};
-use verus_netsim::queue::QueueConfig;
-use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
-use verus_nettypes::{SimDuration, SimTime};
-use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SessionConfig, SessionState,
-    SupervisedSender, SupervisorConfig, WallClock,
-};
-
-const SEED: u64 = 21;
-const BACKOFF_CAP: SimDuration = SimDuration::from_millis(1000);
-const SLO_BUDGET: SimDuration = SimDuration::from_millis(2000);
-
-/// Synthetic constant-rate trace: one opportunity per millisecond.
-fn steady_trace(bytes_per_ms: u32, secs: u64) -> verus_cellular::Trace {
-    verus_cellular::Trace::from_times(
-        "steady",
-        (0..secs * 1000).map(SimTime::from_millis),
-        bytes_per_ms,
-    )
-    .expect("trace")
-}
-
-/// Blackout train over Gilbert–Elliott loss spikes.
-fn chaos(start_s: u64, outage_ms: u64, gap_ms: u64, repeats: u64) -> ChaosSchedule {
-    ChaosSchedule::new(SEED)
-        .with(ChaosScript::FlappingBlackout {
-            start: SimTime::from_secs(start_s),
-            outage: SimDuration::from_millis(outage_ms),
-            gap: SimDuration::from_millis(gap_ms),
-            repeats,
-        })
-        .with(ChaosScript::LossSpikeTrain {
-            p_enter: 0.02,
-            p_exit: 0.5,
-            base_loss: 0.0,
-            spike_loss: 1.0,
-        })
-}
+use verus_bench::soak::{blackout_train, sim_soak, transport_soak, SLO_BUDGET};
+use verus_nettypes::SimDuration;
+use verus_transport::SessionState;
 
 #[test]
 fn netsim_chaos_soak_meets_recovery_slos() {
     // The bench_chaos full schedule: 30 simulated seconds, three 2 s
     // outages, overload guard armed at 1024 outstanding.
-    let sched = chaos(5, 2000, 4000, 3);
+    let sched = blackout_train(5, 2000, 4000, 3);
     let windows = sched.blackout_windows();
-    let config = SimConfig {
-        bottleneck: BottleneckConfig::Cell {
-            trace: steady_trace(3500, 2),
-            base_rtt: SimDuration::from_millis(40),
-            loss: 0.0,
-        },
-        queue: QueueConfig::DropTail {
-            capacity_bytes: 1 << 20,
-        },
-        flows: vec![FlowConfig::new(Box::new(VerusCc::default())).with_shed_cap(1024)],
-        duration: SimDuration::from_secs(30),
-        seed: SEED,
-        throughput_window: SimDuration::from_millis(100),
-        impairments: sched.compile().expect("chaos schedule compiles"),
-        abc: None,
-    };
-    let reports = Simulation::new(config).expect("valid config").run();
-    let r = &reports[0];
+    let r = &sim_soak(&sched, SimDuration::from_secs(30));
 
     assert!(r.ledger_balances(), "conservation ledger broken: {r:?}");
     assert!(
@@ -122,33 +67,10 @@ fn netsim_chaos_soak_meets_recovery_slos() {
 fn transport_chaos_soak_reestablishes_within_slo() {
     // One 1.5 s outage on the wall clock: long enough to drive the
     // session through Degraded → Reconnecting, short enough for tier-1.
-    let sched = chaos(2, 1500, 3000, 1);
+    let sched = blackout_train(2, 1500, 3000, 1);
     let windows = sched.blackout_windows();
 
-    let clock = WallClock::new();
-    let receiver = Receiver::spawn("127.0.0.1:0", clock).unwrap();
-    let mut emu_config = EmulatorConfig::new(steady_trace(1000, 2), receiver.local_addr());
-    emu_config.impairments = sched.compile().expect("chaos schedule compiles");
-    let emulator = Emulator::spawn(emu_config, clock).unwrap();
-
-    let mut config = SupervisorConfig::new(SenderConfig::new(
-        emulator.ingress_addr(),
-        Duration::from_secs(8),
-    ));
-    config.session = SessionConfig {
-        idle_degraded: SimDuration::from_millis(300),
-        degraded_grace: SimDuration::from_millis(200),
-        drain_timeout: SimDuration::from_secs(2),
-        backoff_base: SimDuration::from_millis(50),
-        backoff_cap: BACKOFF_CAP,
-        seed: SEED,
-        session_id: 0,
-    };
-    let report = SupervisedSender::new(config, clock)
-        .run(Box::new(VerusCc::default()))
-        .unwrap();
-    emulator.stop();
-    receiver.stop();
+    let report = transport_soak(&sched, SimDuration::from_secs(8)).unwrap();
 
     assert!(report.reached_established(), "never established: {:?}", report.transitions);
     assert_eq!(

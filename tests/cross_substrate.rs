@@ -3,13 +3,14 @@
 //! UDP sockets through the emulator. This is the check that the two
 //! transports implement the same semantics.
 
-use std::time::Duration;
 use verus_bench::{CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario, Trace};
 use verus_core::VerusCc;
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::SimDuration;
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
+use verus_transport::{
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
+};
 
 fn shared_trace() -> Trace {
     Scenario::CampusStationary
@@ -34,11 +35,9 @@ fn simulated_and_real_verus_agree_on_throughput_scale() {
     let receiver = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emulator =
         Emulator::spawn(EmulatorConfig::new(trace, receiver.local_addr()), clock).unwrap();
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(8)),
-        clock,
-    );
-    let real = sender.run(Box::new(VerusCc::default())).unwrap();
+    let server = ShardServer::new(ShardServerConfig::one_flow(SimDuration::from_secs(8)));
+    let flow = FlowSpec::stream(emulator.ingress_addr(), Box::new(VerusCc::default()));
+    let real = server.run(vec![flow], clock).unwrap().flows.remove(0).stats;
     emulator.stop();
     receiver.stop();
 

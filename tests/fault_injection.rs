@@ -6,23 +6,15 @@
 //! ledger must balance exactly, and every thread must shut down cleanly.
 
 use std::time::Duration;
+use verus_bench::soak::steady_trace;
 use verus_core::{Phase, VerusCc};
 use verus_netsim::impairment::{Blackout, ImpairmentConfig, LossModel};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
-
-/// Synthetic constant-rate trace: one opportunity per millisecond.
-/// Deterministic (no RNG), loops for the run's lifetime.
-fn steady_trace(bytes_per_ms: u32, secs: u64) -> verus_cellular::Trace {
-    verus_cellular::Trace::from_times(
-        "steady",
-        (0..secs * 1000).map(SimTime::from_millis),
-        bytes_per_ms,
-    )
-    .expect("trace")
-}
+use verus_transport::{
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
+};
 
 /// Heavy impairment mix for the netsim soak: ~10% mean Gilbert–Elliott
 /// loss in bursts, light reordering/duplication/corruption, and a 3 s
@@ -168,11 +160,9 @@ fn transport_soak_survives_blackout_and_joins_threads() {
     };
     let emulator = Emulator::spawn(config, clock).unwrap();
 
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(7)),
-        clock,
-    );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap();
+    let server = ShardServer::new(ShardServerConfig::one_flow(SimDuration::from_secs(7)));
+    let flow = FlowSpec::stream(emulator.ingress_addr(), Box::new(VerusCc::default()));
+    let stats = server.run(vec![flow], clock).unwrap().flows.remove(0).stats;
 
     assert!(stats.acked > 0, "nothing acknowledged");
     assert!(

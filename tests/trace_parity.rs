@@ -14,7 +14,9 @@ use verus_core::VerusCc;
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::{CongestionControl, SimDuration};
 use verus_trace::{parse_jsonl, to_jsonl, Recorder, TraceFile, TracePhase};
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
+use verus_transport::{
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
+};
 
 const RUN_SECS: u64 = 8;
 
@@ -48,11 +50,10 @@ fn real_trace_file() -> TraceFile {
     let (handle, shared) = Recorder::new().shared();
     let mut cc: Box<dyn CongestionControl> = Box::new(VerusCc::default());
     cc.attach_trace(handle);
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(RUN_SECS)),
-        clock,
-    );
-    let _stats = sender.run(cc).expect("sender run");
+    let server = ShardServer::new(ShardServerConfig::one_flow(SimDuration::from_secs(RUN_SECS)));
+    server
+        .run(vec![FlowSpec::stream(emulator.ingress_addr(), cc)], clock)
+        .expect("sender run");
     // Quiesce before sampling counters: the sender is done, but the
     // emulator keeps forwarding its queued residue and the loopback hop
     // still holds packets the receiver hasn't counted. Wait until both
